@@ -34,24 +34,15 @@ type artifactMeasurement struct {
 	AllocsPerOp  uint64  `json:"allocs_per_op"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Shards is the intra-run worker count the measurement ran at
-	// (0/absent = serial). The simulation is bit-identical at every
-	// shard count, so Events never varies with it — only the wall-clock
-	// metrics do.
-	Shards int `json:"shards,omitempty"`
 
-	// Round-coordinator shape, recorded for sharded measurements
-	// (Results.Sharding): why the horizon was limited each parallel
-	// round, and how much wall clock the barrier cost. Rounds and the
-	// horizon counters are deterministic (identical at every shard
-	// count); the barrier nanoseconds are the host's answer to why the
-	// run did or didn't scale.
+	// Round-coordinator shape for single-simulation measurements
+	// (Results.Sharding): how many rounds the run took and which
+	// constraint limited each shard-phase horizon. Deterministic, like
+	// Events.
 	Rounds            uint64 `json:"rounds,omitempty"`
 	HorizonNextGlobal uint64 `json:"horizon_next_global,omitempty"`
 	HorizonRingCredit uint64 `json:"horizon_ring_credit,omitempty"`
 	HorizonWindow     uint64 `json:"horizon_window,omitempty"`
-	BarrierWaitNs     int64  `json:"barrier_wait_ns,omitempty"`  // summed across shards
-	BarrierDrainNs    int64  `json:"barrier_drain_ns,omitempty"` // serial replay/post drain
 }
 
 type benchRun struct {
@@ -93,44 +84,19 @@ func runBenchJSON(path, label string) error {
 		run.Artifacts[name] = m
 		printMeasurement(name, m)
 	}
-	m, err := measureThroughput(0)
-	if err != nil {
-		return err
-	}
-	run.Artifacts["throughput"] = m
-	printMeasurement("throughput", m)
-
-	// The sharded companion to the throughput artifact: same workload,
-	// auto worker count. Its event count must equal the serial one
-	// (bench-check enforces this); its wall clock is the intra-run
-	// parallelism headline on multi-core hosts.
-	ms, err := measureThroughput(-1)
-	if err != nil {
-		return err
-	}
-	if ms.Events != m.Events {
-		return fmt.Errorf("sharded throughput fired %d events, serial %d — determinism broken", ms.Events, m.Events)
-	}
-	run.Artifacts["throughput_sharded"] = ms
-	printMeasurement("throughput_sharded", ms)
-
-	// Shard-count scaling sweep on a big-core configuration (64 cores,
-	// 32 L2 slices, 128 threads): the config intra-run parallelism is
-	// built for. Event counts are identical across the sweep.
-	var bigEvents uint64
-	for _, shards := range []int{1, 2, 4, 8} {
-		mb, err := measureBigChip(shards)
+	for _, a := range []struct {
+		name    string
+		measure func() (artifactMeasurement, error)
+	}{
+		{"throughput", measureThroughput},
+		{"bigchip", measureBigChip},
+	} {
+		m, err := a.measure()
 		if err != nil {
 			return err
 		}
-		if shards == 1 {
-			bigEvents = mb.Events
-		} else if mb.Events != bigEvents {
-			return fmt.Errorf("bigchip at %d shards fired %d events, serial %d — determinism broken", shards, mb.Events, bigEvents)
-		}
-		name := fmt.Sprintf("bigchip_shards%d", shards)
-		run.Artifacts[name] = mb
-		printMeasurement(name, mb)
+		run.Artifacts[a.name] = m
+		printMeasurement(a.name, m)
 	}
 
 	file := benchFile{Schema: "cmpcache-bench/v1"}
@@ -192,7 +158,7 @@ func runBenchCheck(path, label string) error {
 	var events uint64
 	minAllocs, bestRate := ^uint64(0), 0.0
 	for i := 0; i < 3; i++ {
-		m, err := measureThroughput(0)
+		m, err := measureThroughput()
 		if err != nil {
 			return err
 		}
@@ -215,20 +181,6 @@ func runBenchCheck(path, label string) error {
 	}
 	if bestRate < 0.95*want.EventsPerSec {
 		return fmt.Errorf("bench-check: events/sec regressed more than 5%%: measured %.0f, recorded %.0f", bestRate, want.EventsPerSec)
-	}
-
-	// The sharded determinism gate: the same workload at the auto shard
-	// count must fire exactly the serial event count. ns/op is allowed
-	// to differ — the shard count the host resolves to is a property of
-	// the machine, not of the simulation.
-	sharded, err := measureThroughput(-1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench-check: sharded throughput %d events at %d shards, %.0f events/s\n",
-		sharded.Events, sharded.Shards, sharded.EventsPerSec)
-	if sharded.Events != events {
-		return fmt.Errorf("bench-check: sharded run fired %d events, serial %d — shard determinism broken", sharded.Events, events)
 	}
 	return nil
 }
@@ -254,23 +206,19 @@ func measureArtifact(name string) (artifactMeasurement, error) {
 }
 
 // measureThroughput times one raw simulator run (the
-// BenchmarkSimulatorThroughput workload). shards follows the RunOptions
-// convention: 0 = serial (the recorded zero-overhead baseline), < 0 =
-// auto, N = N shard workers.
-func measureThroughput(shards int) (artifactMeasurement, error) {
+// BenchmarkSimulatorThroughput workload).
+func measureThroughput() (artifactMeasurement, error) {
 	tr, err := cmpcache.GenerateWorkloadSized("trade2", benchScaleRefs)
 	if err != nil {
 		return artifactMeasurement{}, err
 	}
-	cfg := cmpcache.DefaultConfig()
-	return timeRun(cfg, tr, shards)
+	return timeRun(cmpcache.DefaultConfig(), tr)
 }
 
-// measureBigChip times one run of the big-core scaling configuration:
-// 64 cores (32 L2 slices, 128 threads) on a high-hit-rate tp workload —
-// the shape that gives intra-run parallelism the most independent
-// front-end work per bus transaction.
-func measureBigChip(shards int) (artifactMeasurement, error) {
+// measureBigChip times one run of the big-core configuration: 64 cores
+// (32 L2 slices, 128 threads) on a high-hit-rate tp workload — the shape
+// with the most shard-phase work per bus transaction.
+func measureBigChip() (artifactMeasurement, error) {
 	p, err := cmpcache.WorkloadByName("tp")
 	if err != nil {
 		return artifactMeasurement{}, err
@@ -283,53 +231,29 @@ func measureBigChip(shards int) (artifactMeasurement, error) {
 	}
 	cfg := cmpcache.DefaultConfig()
 	cfg.Cores = 64
-	// The shard count is this sweep's axis: when the host's GOMAXPROCS
-	// sits below it, raise it for the measurement so the requested
-	// workers actually spin up. On an undersized host the workers
-	// timeshare and the curve honestly reads flat.
-	if g := runtime.GOMAXPROCS(0); shards > g {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
-	}
-	return timeRun(cfg, tr, shards)
+	return timeRun(cfg, tr)
 }
 
-// timeRun executes one simulation at the given shard count and reports
-// wall time, the process-wide allocation delta and event throughput.
-func timeRun(cfg cmpcache.Config, tr *cmpcache.Trace, shards int) (artifactMeasurement, error) {
+// timeRun executes one simulation and reports wall time, the
+// process-wide allocation delta, event throughput and the round
+// coordinator's shape.
+func timeRun(cfg cmpcache.Config, tr *cmpcache.Trace) (artifactMeasurement, error) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	var (
-		res *cmpcache.Results
-		err error
-	)
-	if shards == 0 {
-		res, err = cmpcache.Run(cfg, tr)
-	} else {
-		res, err = cmpcache.RunWith(cfg, tr, cmpcache.RunOptions{Workers: shards})
-	}
+	res, err := cmpcache.Run(cfg, tr)
 	if err != nil {
 		return artifactMeasurement{}, err
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	m := measurement(elapsed, m1.Mallocs-m0.Mallocs, res.EventsFired)
-	// Record the worker count the run actually used: requests clamp to
-	// MaxWorkers (notably to 1 on single-core hosts), and a column
-	// claiming parallelism that never happened would be a lie.
-	if m.Shards = shards; shards < 0 || shards > cmpcache.MaxWorkers(&cfg) {
-		m.Shards = cmpcache.MaxWorkers(&cfg)
-	}
-	if shards != 0 {
-		sh := res.Sharding
-		m.Rounds = sh.Rounds
-		m.HorizonNextGlobal = sh.HorizonNextGlobal
-		m.HorizonRingCredit = sh.HorizonRingCredit
-		m.HorizonWindow = sh.HorizonWindow
-		m.BarrierWaitNs = sh.BarrierWaitTotalNs()
-		m.BarrierDrainNs = sh.BarrierDrainNs
-	}
+	sh := res.Sharding
+	m.Rounds = sh.Rounds
+	m.HorizonNextGlobal = sh.HorizonNextGlobal
+	m.HorizonRingCredit = sh.HorizonRingCredit
+	m.HorizonWindow = sh.HorizonWindow
 	return m, nil
 }
 
@@ -342,17 +266,13 @@ func measurement(elapsed time.Duration, allocs, events uint64) artifactMeasureme
 	}
 }
 
-// printMeasurement renders one stderr progress row, with the shard
-// column when the measurement ran sharded.
+// printMeasurement renders one stderr progress row, with the round
+// count when the measurement recorded one.
 func printMeasurement(name string, m artifactMeasurement) {
 	fmt.Fprintf(os.Stderr, "%-18s %12d ns/op %10d allocs/op %12.0f events/s",
 		name, m.NsPerOp, m.AllocsPerOp, m.EventsPerSec)
-	if m.Shards > 0 {
-		fmt.Fprintf(os.Stderr, " shards=%d", m.Shards)
-	}
 	if m.Rounds > 0 {
-		fmt.Fprintf(os.Stderr, " rounds=%d barrier=%s",
-			m.Rounds, time.Duration(m.BarrierWaitNs+m.BarrierDrainNs))
+		fmt.Fprintf(os.Stderr, " rounds=%d", m.Rounds)
 	}
 	fmt.Fprintln(os.Stderr)
 }

@@ -32,7 +32,6 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/experiments"
-	"cmpcache/internal/sweep"
 )
 
 func main() {
@@ -41,8 +40,7 @@ func main() {
 		refs       = flag.Int("refs", 0, "references per thread (0 = workload default)")
 		quick      = flag.Bool("quick", false, "reduced sweeps and 10K-reference traces")
 		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
-		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards     = flag.String("shards", "auto", "intra-run shard workers per simulation: auto (spare cores after -workers), serial, or a count (artifacts are byte-identical at any value)")
+		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		verbose    = flag.Bool("v", false, "log each simulation run to stderr")
 		benchJSON  = flag.String("bench-json", "", "measure every artifact at benchmark scale and record ns/op, allocs/op and events/sec into this JSON file (see BENCH_core.json)")
 		benchLabel = flag.String("bench-label", "current", "run label for -bench-json/-bench-check (an existing run with the same label is replaced)")
@@ -53,11 +51,6 @@ func main() {
 	)
 	flag.Parse()
 
-	shardWorkers, err := sweep.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-		os.Exit(1)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -101,7 +94,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Shards: shardWorkers, Overrides: overrides}
+	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Overrides: overrides}
 	if *quick && *refs == 0 {
 		opts.RefsPerThread = 10000
 	}

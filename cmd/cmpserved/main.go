@@ -52,17 +52,7 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/serve"
-	"cmpcache/internal/sweep"
 )
-
-// effectiveWorkerCount mirrors the daemon's default resolution for the
-// clamp warning (<= 0 means GOMAXPROCS).
-func effectiveWorkerCount(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 func main() {
 	var (
@@ -70,8 +60,7 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "on-disk L2 result cache directory (empty = in-memory L1 only)")
 		l1Entries   = flag.Int("l1-entries", 0, "in-memory L1 cache entry bound (0 = default 256)")
 		l1Bytes     = flag.Int64("l1-bytes", 0, "in-memory L1 cache byte bound (0 = default 256 MiB)")
-		workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards      = flag.String("shards", "auto", "intra-run shard workers per simulation: auto (spare cores after -workers), serial, or a count (results and cache keys are identical at any value)")
+		workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queueDepth  = flag.Int("queue", 0, "accepted-but-not-running job bound; overflow is rejected with 429 (0 = default 256)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-clock timeout (0 = none)")
 		metricsIval = flag.Int64("metrics-interval", 0, "attach interval metrics at this cycle window to every run (0 = off)")
@@ -88,21 +77,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cmpserved: %v\n", err)
 		os.Exit(1)
 	}
-	shardWorkers, err := sweep.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmpserved: %v\n", err)
-		os.Exit(1)
-	}
-	if _, clamped := sweep.FitWorkers(effectiveWorkerCount(*workers), shardWorkers); clamped {
-		fmt.Fprintf(os.Stderr, "cmpserved: clamping worker pool so workers x shards fits GOMAXPROCS=%d\n",
-			runtime.GOMAXPROCS(0))
-	}
 	opts := serve.Options{
 		CacheDir:        *cacheDir,
 		L1Entries:       *l1Entries,
 		L1Bytes:         *l1Bytes,
 		Workers:         *workers,
-		Shards:          shardWorkers,
 		QueueDepth:      *queueDepth,
 		JobTimeout:      *jobTimeout,
 		MetricsInterval: config.Cycles(*metricsIval),

@@ -49,8 +49,7 @@ func main() {
 		tableSizes   = flag.String("table-sizes", "", "table-entry axis for the active mechanism, e.g. 512,2048,8192 (empty = paper defaults)")
 		overrides    = config.RegisterOverrides(flag.CommandLine)
 		refs         = flag.Int("refs", 0, "references per thread (0 = workload default)")
-		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards       = flag.String("shards", "auto", "intra-run shard workers per simulation: auto (spare cores after -workers), serial, or a count (results are bit-identical at any value)")
+		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 		jsonOut      = flag.String("json", "", "write full results as JSON to this file (- for stdout)")
 		csvOut       = flag.String("csv", "", "write result rows as CSV to this file (- for stdout)")
@@ -138,15 +137,9 @@ func main() {
 		fatalf("empty grid")
 	}
 
-	shardWorkers, err := sweep.ParseShards(*shards)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	opts := sweep.Options{
 		Workers: *workers,
 		Timeout: *timeout,
-		Shards:  shardWorkers,
-		Log:     func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	}
 	if *metricsOut != "" {
 		opts.MetricsInterval = config.Cycles(*metricsIval)

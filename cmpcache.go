@@ -90,11 +90,10 @@ func OpenTraceDir(path string) (*ShardedTrace, error) { return trace.OpenSharded
 type Results = system.Results
 
 // ShardingStats is the round-coordinator record in Results.Sharding:
-// how many rounds the event loop ran, why the parallel horizon was
-// limited each round (next global event, ring credit, or conflict
-// window), and — for sharded runs — how much wall clock the barrier
-// cost. The counters are deterministic and identical at every worker
-// count; only the wall-clock fields (excluded from JSON) vary.
+// how many rounds the event loop ran, how many ran a shard phase, and
+// why each shard-phase horizon was limited (next global event, ring
+// credit, or observability window). The counters are deterministic for
+// a given run and its attachments, and stay out of Results JSON.
 type ShardingStats = system.ShardingStats
 
 // WorkloadProfile describes a synthetic workload; see
@@ -200,22 +199,20 @@ type RunOptions struct {
 	Probe   *MetricsProbe
 	Auditor *Auditor
 	Latency *LatencyCollector
-
-	// Workers sets the intra-run parallelism: the simulated chip is
-	// sharded by L2 slice and the shard event wheels execute on this
-	// many goroutines, synchronized at the bus (see DESIGN.md §15).
-	// 0 leaves the run serial, < 0 selects auto (MaxWorkers), and
-	// explicit counts clamp to MaxWorkers. Results are bit-identical
-	// at every worker count — including the probe series, latency
-	// report, event trace and audit verdict — so this knob trades
-	// nothing but wall clock.
-	Workers int
 }
 
-// MaxWorkers returns the largest useful intra-run worker count for cfg:
-// one worker per L2 slice, capped by GOMAXPROCS. This is what the
-// cmd-line tools' "-shards auto" resolves to.
-func MaxWorkers(cfg *Config) int { return system.MaxWorkers(cfg) }
+// attach installs every attachment set in opts on s.
+func (opts RunOptions) attach(s *system.System) {
+	if opts.Probe != nil {
+		s.Attach(opts.Probe)
+	}
+	if opts.Auditor != nil {
+		s.AttachAuditor(opts.Auditor)
+	}
+	if opts.Latency != nil {
+		s.AttachLatency(opts.Latency)
+	}
+}
 
 // RunWith simulates tr with every attachment in opts installed. The
 // simulated outcome is identical to Run — all attachments are
@@ -227,18 +224,7 @@ func RunWith(cfg Config, tr *Trace, opts RunOptions) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Probe != nil {
-		s.Attach(opts.Probe)
-	}
-	if opts.Auditor != nil {
-		s.AttachAuditor(opts.Auditor)
-	}
-	if opts.Latency != nil {
-		s.AttachLatency(opts.Latency)
-	}
-	if opts.Workers != 0 {
-		s.SetWorkers(opts.Workers)
-	}
+	opts.attach(s)
 	return s.Run(), nil
 }
 
@@ -251,18 +237,7 @@ func RunSourceWith(cfg Config, src TraceSource, opts RunOptions) (*Results, erro
 	if err != nil {
 		return nil, err
 	}
-	if opts.Probe != nil {
-		s.Attach(opts.Probe)
-	}
-	if opts.Auditor != nil {
-		s.AttachAuditor(opts.Auditor)
-	}
-	if opts.Latency != nil {
-		s.AttachLatency(opts.Latency)
-	}
-	if opts.Workers != 0 {
-		s.SetWorkers(opts.Workers)
-	}
+	opts.attach(s)
 	return s.Run(), nil
 }
 

@@ -81,15 +81,6 @@ func RandomConfig(r *rand.Rand) config.Config {
 // the auditor (with the differential reference model) and returns the
 // auditor for inspection. The run is fully deterministic in seed.
 func RunSeed(seed int64) (*audit.Auditor, *system.Results, error) {
-	return RunSeedWorkers(seed, 1)
-}
-
-// RunSeedWorkers is RunSeed at an explicit intra-run worker count
-// (system.SetWorkers conventions). Results and audit verdicts are
-// bit-identical at every count; the sharded-soak CI job runs the
-// campaign at several workers under the race detector to stress the
-// coordinator's phase discipline.
-func RunSeedWorkers(seed int64, workers int) (*audit.Auditor, *system.Results, error) {
 	r := rand.New(rand.NewSource(seed))
 	cfg := RandomConfig(r)
 	profile := RandomProfile(r)
@@ -103,9 +94,5 @@ func RunSeedWorkers(seed int64, workers int) (*audit.Auditor, *system.Results, e
 		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
 	s.AttachAuditor(a)
-	if workers != 1 {
-		s.SetWorkers(workers)
-	}
-	res := s.Run()
-	return a, res, nil
+	return a, s.Run(), nil
 }

@@ -16,8 +16,7 @@
 // Results.EventsFired, or any simulated outcome. A window [start, end)
 // closes at the first event whose timestamp reaches end, and the
 // sampled state is exactly the state after all events strictly before
-// end — deterministic for a fixed workload, independent of wall clock
-// and worker count.
+// end — deterministic for a fixed workload, independent of wall clock.
 package metrics
 
 import "cmpcache/internal/config"
@@ -161,8 +160,8 @@ func (p *Probe) Tick(now config.Cycles) {
 // earliest cycle at which a Tick would close a sample. The sharded
 // coordinator caps each round's horizon strictly below it so every event
 // preceding the boundary has fired before the window closes, preserving
-// the serial sampling contract ("state after all events strictly before
-// end") at any worker count.
+// the sampling contract ("state after all events strictly before
+// end").
 func (p *Probe) NextBoundary() config.Cycles { return p.nextClose }
 
 // close emits the window ending at end and arms the next one.

@@ -31,15 +31,7 @@ type Options struct {
 	L1Bytes   int64
 
 	// Workers bounds concurrent simulations; <= 0 means GOMAXPROCS.
-	// When Shards puts more than one shard worker inside each run, the
-	// pool is clamped so workers x shards stays within GOMAXPROCS
-	// (sweep.FitWorkers).
 	Workers int
-	// Shards sets each run's intra-run parallelism (0 = serial runs,
-	// < 0 = auto, N = N shard workers; see sweep.Options.Shards).
-	// Results are bit-identical at every shard count, so — unlike the
-	// observability options — Shards is NOT part of the cache key.
-	Shards int
 	// QueueDepth bounds jobs accepted but not yet running; <= 0 means
 	// DefaultQueueDepth. A submission that would overflow the queue is
 	// rejected whole with 429 and no side effects.
@@ -158,13 +150,6 @@ func New(opts Options) (*Daemon, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := opts.Shards
-	if opts.Run == nil {
-		workers, _ = sweep.FitWorkers(workers, shards)
-		if shards < 0 {
-			shards = sweep.AutoShards(workers)
-		}
-	}
 	depth := opts.QueueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
@@ -176,7 +161,6 @@ func New(opts Options) (*Daemon, error) {
 		if opts.Latency {
 			sim.Latency = &txlat.Config{TopK: opts.LatencyTopK}
 		}
-		sim.Shards = shards
 		sim.SourceOpens = met.traceOpens
 		sim.SourceHits = met.traceHits
 		run = sim.Run

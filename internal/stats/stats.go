@@ -141,7 +141,7 @@ func (h *Histogram) CountAtLeast(v uint64) uint64 {
 // other had been observed by h. The result is independent of merge
 // order because buckets, counts and sums are all additive and max is
 // commutative — which is what lets per-shard histograms combine into a
-// deterministic whole regardless of how the shards executed.
+// deterministic whole.
 func (h *Histogram) Merge(other *Histogram) {
 	for len(h.buckets) < len(other.buckets) {
 		h.buckets = append(h.buckets, 0)

@@ -212,11 +212,13 @@ func ParseWorkloads(spec string) ([]string, error) {
 	return out, nil
 }
 
-// ParseShards parses a -shards flag value: "auto" (or "") selects one
-// shard worker per L2 slice capped by GOMAXPROCS, "serial" or any
-// explicit count N >= 1 selects exactly that many (clamped to the
-// useful maximum at run time). The returned convention matches
-// Options.Shards / Simulator.Shards: -1 = auto, N >= 1 = N.
+// ParseShards parses a former -shards flag value: "auto" (or "")
+// returns -1, "serial" returns 1, and an explicit count N >= 1 returns
+// N. Anything else is an error naming the value.
+//
+// Deprecated: the tools no longer take -shards and simulations always
+// run inline. Kept only for the perfbench/ module, its one caller; it
+// goes when that benchmark stops calling it.
 func ParseShards(spec string) (int, error) {
 	s := strings.TrimSpace(spec)
 	switch strings.ToLower(s) {

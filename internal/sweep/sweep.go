@@ -4,10 +4,9 @@
 //
 // Every evaluation artifact in the paper (Figures 2-7, Tables 1-5) is a
 // sweep over independent configurations — workloads x mechanisms x
-// outstanding-miss counts x table sizes. The simulator is deterministic
-// at every shard-worker count (see internal/system's round coordinator);
-// this package supplies the concurrency *between* runs and arbitrates
-// the core budget when both levels are in play:
+// outstanding-miss counts x table sizes. Each simulation runs on one
+// goroutine (see internal/system's round coordinator); this package
+// supplies the concurrency *between* runs:
 //
 //   - a Job/Result model with a Plan builder that expands grids;
 //   - a worker pool with bounded concurrency, per-job panic recovery
@@ -241,18 +240,6 @@ type Options struct {
 	// latency collector configured by it to every simulation; each
 	// job's Results.Latency then carries the stage-attributed report.
 	Latency *txlat.Config
-	// Shards sets each run's intra-run parallelism when Run is nil:
-	// 0 = serial runs (the default), < 0 = auto, N = N shard workers
-	// per run. Results are bit-identical at every shard count, so this
-	// only shifts where the core budget goes: an explicit N > 1 clamps
-	// Workers so workers x shards stays within GOMAXPROCS (FitWorkers;
-	// see Log), while auto keeps Workers and gives each run the spare
-	// cores (AutoShards) — 1, i.e. serial, once the pool saturates.
-	Shards int
-	// Log, when non-nil, receives one line per notable pool decision
-	// (currently only the oversubscription clamp). Nil is silent.
-	Log func(format string, args ...any)
-
 	// Metrics, when non-nil, receives pool occupancy and per-job timing
 	// (worker busy gauge, queue-wait and wall-time histograms, run/dedup
 	// counters). Every instrument inside is nil-safe, so a partially
@@ -318,66 +305,17 @@ func NewPoolMetrics(reg *telemetry.Registry, prefix string) *PoolMetrics {
 }
 
 // effectiveWorkers resolves the sweep's concurrency from opts: the
-// requested worker count, bounded by the job count, and — when intra-run
-// sharding is on — clamped so workers x shards-per-run stays within
-// GOMAXPROCS. Returns the worker count and the clamp decision (for
-// logging and tests).
-func effectiveWorkers(opts Options, jobs int) (workers int, clamped bool) {
-	workers = opts.Workers
+// requested worker count (GOMAXPROCS when unset), bounded by the job
+// count.
+func effectiveWorkers(opts Options, jobs int) int {
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > jobs {
 		workers = jobs
 	}
-	if opts.Run == nil {
-		workers, clamped = FitWorkers(workers, opts.Shards)
-	}
-	return workers, clamped
-}
-
-// FitWorkers is the oversubscription guard shared by every pool that
-// runs sharded simulations concurrently (sweeps, the serve daemon): it
-// clamps a concurrent-run count so that runs x shard-workers-per-run
-// stays within GOMAXPROCS — P runs each spinning up S shard workers
-// would otherwise put P*S runnable goroutines on G cores and thrash.
-// shards follows the Options.Shards convention; only an explicit count
-// (> 1) clamps — auto (< 0) instead adapts the per-run shard count to
-// the leftover budget (see AutoShards). The second result reports
-// whether a clamp occurred.
-func FitWorkers(workers, shards int) (int, bool) {
-	if shards <= 1 || workers <= 1 {
-		return workers, false
-	}
-	g := runtime.GOMAXPROCS(0)
-	perRun := shards
-	if perRun > g {
-		perRun = g
-	}
-	if perRun <= 1 || workers*perRun <= g {
-		return workers, false
-	}
-	fit := g / perRun
-	if fit < 1 {
-		fit = 1
-	}
-	if fit >= workers {
-		return workers, false
-	}
-	return fit, true
-}
-
-// AutoShards resolves the "auto" shard count for a pool running workers
-// concurrent simulations: the cores left over once every worker has
-// one, never below serial. With a saturating pool (workers == G) this
-// is 1 — inter-run parallelism already owns every core; with few jobs
-// and many cores the spare cores go inside each run.
-func AutoShards(workers int) int {
-	s := runtime.GOMAXPROCS(0) / workers
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return workers
 }
 
 // Run executes jobs on a bounded worker pool and returns one Result per
@@ -386,19 +324,12 @@ func AutoShards(workers int) int {
 // panics and timeouts) are reported on the individual Result. A
 // cancelled ctx marks not-yet-started jobs with ctx.Err().
 func Run(ctx context.Context, jobs []Job, opts Options) []Result {
-	workers, clamped := effectiveWorkers(opts, len(jobs))
-	if clamped && opts.Log != nil {
-		opts.Log("sweep: clamped to %d concurrent simulations (%d shard workers per run on GOMAXPROCS=%d)",
-			workers, opts.Shards, runtime.GOMAXPROCS(0))
-	}
+	workers := effectiveWorkers(opts, len(jobs))
 	runFn := opts.Run
 	if runFn == nil {
 		sim := NewSimulator()
 		sim.MetricsInterval = opts.MetricsInterval
 		sim.Latency = opts.Latency
-		if sim.Shards = opts.Shards; sim.Shards < 0 {
-			sim.Shards = AutoShards(workers)
-		}
 		if opts.Metrics != nil {
 			sim.SourceOpens = opts.Metrics.SourceOpens
 			sim.SourceHits = opts.Metrics.SourceHits

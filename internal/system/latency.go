@@ -11,7 +11,7 @@ import "cmpcache/internal/txlat"
 // system without one pays a single nil check per hook site. A windowed
 // collector's windows close at the coordinator's round boundaries;
 // shard-context hooks reach it through the barrier's deterministic
-// replay, so its report is bit-identical at any worker count.
+// replay, so its report is a pure function of the workload.
 func (s *System) AttachLatency(c *txlat.Collector) {
 	s.lat = c
 }

@@ -2,14 +2,12 @@ package system
 
 import (
 	"context"
-	"runtime"
-	"time"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/sim"
 )
 
-// This file is the intra-run parallel coordinator (DESIGN.md §15).
+// This file is the round coordinator (DESIGN.md §15).
 //
 // The simulated chip is partitioned by L2 slice into shards, each with
 // its own event wheel, plus one global wheel holding every bus-combine
@@ -19,10 +17,10 @@ import (
 //  1. Boundary tick — close observability windows up to the next event
 //     time and advance the retry switch's sampling window. After this,
 //     shard context may only *read* the switch (ActiveNow).
-//  2. Parallel phase — every shard runs its wheel up to a horizon H on
-//     worker goroutines. H is chosen so no shard event can causally
-//     precede any global event: H never exceeds the next global event
-//     time, never reaches an observability window boundary, and never
+//  2. Shard phase — every shard runs its wheel up to a horizon H, one
+//     after another. H is chosen so no shard event can causally precede
+//     any global event: H never exceeds the next global event time,
+//     never reaches an observability window boundary, and never
 //     exceeds the earliest cycle a freshly posted bus request could
 //     combine (min over shards of next-event time, floored by the
 //     address ring's free cycle, plus the address phase).
@@ -36,37 +34,31 @@ import (
 //     waiter wake-ups that re-enter shard code observe the right Now.
 //
 // Every merge order above is a pure function of simulated time and
-// shard index, and the phases never overlap, so the complete execution
-// — Results, probe series, audit verdicts, latency reports — is
-// bit-identical at any worker count. Workers == 1 runs the identical
-// round structure inline; that *is* the serial engine.
+// shard index, so the complete execution — Results, probe series, audit
+// verdicts, latency reports — is fixed by the workload alone. The round
+// structure fixes the event order the experiment goldens were recorded
+// under, which is why it stays even though every phase runs inline.
 
-// ShardingStats records the round-coordinator's execution shape for a
-// run, answering the scaling question BENCH_core.json could not: not
-// just that a sharded run is slow, but *why* — which constraint limited
-// each parallel horizon, and how long shard results sat at the barrier.
+// ShardingStats records the round coordinator's execution shape for a
+// run: how many rounds it took, how many ran a shard phase, and which
+// constraint limited each shard-phase horizon.
 //
-// The counters (Rounds, ParallelRounds, Horizon*) are pure functions of
-// simulated time: workers only change which goroutine executes a shard,
-// never the round structure, so they are identical at every worker
-// count. They are NOT invariant under observation attachments — the
-// metrics probe and windowed latency collector schedule their own
-// wake-ups, adding rounds — so the whole record stays out of Results
-// JSON (Results.Sharding is json:"-", preserving the observation-only
-// result-byte contract) and is read in process: cmpbench surfaces it as
-// separate BENCH_core.json columns. The wall-clock fields (Workers,
-// BarrierWaitNs, BarrierDrainNs) additionally vary by host and worker
-// count.
+// The counters are pure functions of simulated time, but they are NOT
+// invariant under observation attachments — the metrics probe and
+// windowed latency collector schedule their own wake-ups, adding
+// rounds — so the whole record stays out of Results JSON
+// (Results.Sharding is json:"-", preserving the observation-only
+// result-byte contract) and is read in process by the benchmarks.
 type ShardingStats struct {
 	// Rounds counts coordinator iterations (boundary tick → horizon
-	// choice → optional parallel phase → serial phase).
+	// choice → optional shard phase → serial phase).
 	Rounds uint64
 	// ParallelRounds counts rounds whose horizon admitted at least one
-	// shard event, i.e. rounds that ran a parallel phase and a barrier.
+	// shard event, i.e. rounds that ran a shard phase and a barrier.
 	ParallelRounds uint64
 	// Horizon-limiter attribution: which constraint bounded the horizon
-	// on each parallel round. NextGlobal: the next global (bus/ring/L3/
-	// memory) event time tg. RingCredit: the earliest cycle a freshly
+	// on each shard-phase round. NextGlobal: the next global (bus/ring/
+	// L3/memory) event time tg. RingCredit: the earliest cycle a freshly
 	// posted bus request could combine (shard lookahead floored by the
 	// address ring's free cycle, plus the address phase). Window: an
 	// observability window boundary (metrics probe or windowed latency
@@ -74,26 +66,14 @@ type ShardingStats struct {
 	HorizonNextGlobal uint64
 	HorizonRingCredit uint64
 	HorizonWindow     uint64
-
-	// Wall-clock barrier attribution, collected only when a worker pool
-	// ran (Workers > 1); nil/zero on serial runs so the serial hot path
-	// pays nothing. BarrierWaitNs[i] accumulates, per shard, the time
-	// between shard i finishing its parallel phase and the round's last
-	// shard finishing — the idle tail the barrier imposes. Excluded from
-	// JSON: results must stay bit-identical across worker counts.
-	Workers        int     `json:"-"`
-	BarrierWaitNs  []int64 `json:"-"`
-	BarrierDrainNs int64   `json:"-"`
 }
 
-// BarrierWaitTotalNs sums the per-shard barrier idle time.
-func (p *ShardingStats) BarrierWaitTotalNs() int64 {
-	var total int64
-	for _, ns := range p.BarrierWaitNs {
-		total += ns
-	}
-	return total
-}
+// BarrierWaitTotalNs always returns 0: shards run inline, so no shard
+// ever waits at the barrier.
+//
+// Deprecated: kept only for the perfbench/ module, its one caller; it
+// goes when that benchmark stops reading it.
+func (p *ShardingStats) BarrierWaitTotalNs() int64 { return 0 }
 
 // horizon-limiter tags for the attribution counters above.
 type horizonLimit uint8
@@ -104,54 +84,26 @@ const (
 	limWindow
 )
 
-// MaxWorkers returns the largest useful intra-run worker count for cfg:
-// one worker per L2 slice, capped by GOMAXPROCS. This is the "auto"
-// resolution for the -shards flags.
-func MaxWorkers(cfg *config.Config) int {
-	n := cfg.NumL2()
-	if g := runtime.GOMAXPROCS(0); g < n {
-		n = g
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// SetWorkers sets how many goroutines execute the parallel phase.
-// n <= 0 selects auto (MaxWorkers); anything larger than MaxWorkers is
-// clamped — extra workers would only contend. The choice affects wall
-// clock only: results are bit-identical at every worker count. Call
-// before Run.
-func (s *System) SetWorkers(n int) {
-	max := MaxWorkers(&s.cfg)
-	if n <= 0 || n > max {
-		n = max
-	}
-	s.workers = n
-}
-
-// Workers returns the effective parallel-phase worker count.
-func (s *System) Workers() int { return s.workers }
+// SetWorkers does nothing: the round coordinator always runs shards
+// inline.
+//
+// Deprecated: kept only for the perfbench/ module, its one caller; it
+// goes when that benchmark stops calling it.
+func (s *System) SetWorkers(int) {}
 
 // runRounds executes the workload to completion (or ctx cancellation)
-// using the round structure above.
+// using the round structure above. ctx is polled once on entry and
+// then once every cancelCheckEvery rounds plus serial-phase events.
 func (s *System) runRounds(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	for _, sh := range s.shards {
 		sh.threads.Start()
 	}
-	workers := s.workers
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	var pool *workerPool
-	if workers > 1 {
-		pool = s.startPool(workers)
-		defer pool.stop()
-	}
 
 	windowed := s.lat != nil && s.lat.Windowed()
-	serialBudget := 0
+	budget := 0
 	for {
 		minLocal := s.minShardTime()
 		tg := s.engine.NextTime()
@@ -210,19 +162,12 @@ func (s *System) runRounds(ctx context.Context) error {
 				default:
 					s.pstats.HorizonNextGlobal++
 				}
-				if pool != nil {
-					pool.runRound(h)
-					t0 := time.Now()
-					s.drainBarrier(h)
-					s.pstats.BarrierDrainNs += time.Since(t0).Nanoseconds()
-				} else {
-					for _, sh := range s.shards {
-						if sh.engine.NextTime() <= h {
-							sh.engine.RunUntil(h)
-						}
+				for _, sh := range s.shards {
+					if sh.engine.NextTime() <= h {
+						sh.engine.RunUntil(h)
 					}
-					s.drainBarrier(h)
 				}
+				s.drainBarrier(h)
 			}
 		}
 
@@ -240,16 +185,14 @@ func (s *System) runRounds(ctx context.Context) error {
 				sh.engine.AdvanceTo(g)
 			}
 			s.engine.Step()
-			if serialBudget++; serialBudget >= cancelCheckEvery {
-				serialBudget = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
+			budget++
 		}
 
-		if err := ctx.Err(); err != nil {
-			return err
+		if budget++; budget >= cancelCheckEvery {
+			budget = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -266,7 +209,7 @@ func (s *System) minShardTime() config.Cycles {
 	return m
 }
 
-// drainBarrier is the rendezvous after a parallel phase: observation
+// drainBarrier is the rendezvous after a shard phase: observation
 // logs replay in (time, shard) order, the auditor's event clock catches
 // up to the horizon, and the deferred bus posts arbitrate in (time,
 // shard) order at their recorded cycles.
@@ -310,95 +253,5 @@ func (s *System) drainBarrier(h config.Cycles) {
 	for _, sh := range s.shards {
 		sh.obs, sh.obsNext = sh.obs[:0], 0
 		sh.posts, sh.postNext = sh.posts[:0], 0
-	}
-}
-
-// workerPool runs the parallel phase on persistent goroutines. Shards
-// are statically striped across workers (worker w owns shards w, w+W,
-// …) so ownership never changes; the coordinator doubles as worker 0.
-// Per round, only workers whose shards have events at or before the
-// horizon are woken — idle-shard rounds cost nothing.
-type workerPool struct {
-	s       *System
-	workers int
-	horizon config.Cycles // published before wake sends; read after receives
-	wake    []chan struct{}
-	done    chan struct{}
-}
-
-func (s *System) startPool(n int) *workerPool {
-	p := &workerPool{s: s, workers: n, done: make(chan struct{}, n)}
-	s.pstats.BarrierWaitNs = make([]int64, len(s.shards))
-	for w := 1; w < n; w++ {
-		ch := make(chan struct{}, 1)
-		p.wake = append(p.wake, ch)
-		go p.serve(w, ch)
-	}
-	return p
-}
-
-func (p *workerPool) serve(w int, wake <-chan struct{}) {
-	for range wake {
-		p.runShards(w)
-		p.done <- struct{}{}
-	}
-}
-
-// runShards executes worker w's shards up to the published horizon,
-// stamping each shard's finish instant for barrier-wait attribution.
-func (p *workerPool) runShards(w int) {
-	h := p.horizon
-	for i := w; i < len(p.s.shards); i += p.workers {
-		sh := p.s.shards[i]
-		if sh.engine.NextTime() <= h {
-			sh.engine.RunUntil(h)
-			sh.doneAtNs = time.Now().UnixNano()
-		}
-	}
-}
-
-// hasWork reports whether worker w owns a shard with an event due by h.
-func (p *workerPool) hasWork(w int, h config.Cycles) bool {
-	for i := w; i < len(p.s.shards); i += p.workers {
-		if p.s.shards[i].engine.NextTime() <= h {
-			return true
-		}
-	}
-	return false
-}
-
-// runRound executes one parallel phase across the pool and returns
-// after every woken worker has quiesced (the epoch barrier).
-func (p *workerPool) runRound(h config.Cycles) {
-	p.horizon = h
-	woken := 0
-	for w := 1; w < p.workers; w++ {
-		if p.hasWork(w, h) {
-			p.wake[w-1] <- struct{}{}
-			woken++
-		}
-	}
-	p.runShards(0)
-	for ; woken > 0; woken-- {
-		<-p.done
-	}
-	// All workers have quiesced (the done receives order their shard
-	// stamps before these reads). Charge each shard that ran the gap
-	// between its finish and now — the idle time the barrier imposed.
-	now := time.Now().UnixNano()
-	waits := p.s.pstats.BarrierWaitNs
-	for i, sh := range p.s.shards {
-		if sh.doneAtNs != 0 {
-			waits[i] += now - sh.doneAtNs
-			sh.doneAtNs = 0
-		}
-	}
-}
-
-// stop retires the pool's goroutines (between rounds, so none is
-// running a shard).
-func (p *workerPool) stop() {
-	for _, ch := range p.wake {
-		close(ch)
 	}
 }

@@ -6,68 +6,27 @@ import (
 	"cmpcache/internal/config"
 )
 
-// TestShardingStatsDeterministic pins the ShardingStats contract: the
-// round/horizon counters are identical at every worker count (they are
-// what Results JSON carries), the attribution counters sum to the
-// parallel-round count, and the wall-clock barrier fields appear only
-// in pool mode.
+// TestShardingStatsDeterministic pins the ShardingStats contract of a
+// run: the coordinator took rounds and ran shard phases, the horizon
+// attribution counters sum to the shard-phase round count, and the
+// deprecated barrier-wait total is zero.
 func TestShardingStatsDeterministic(t *testing.T) {
-	allowProcs(t, 8)
 	cfg := config.Default()
-	tr := parallelTrace(t, cfg.Threads(), 400)
-
-	run := func(workers int) *Results {
-		s, err := New(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers > 1 {
-			s.SetWorkers(workers)
-		}
-		return s.Run()
+	s, err := New(cfg, parallelTrace(t, cfg.Threads(), 400))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	serial := run(1)
-	st := serial.Sharding
+	st := s.Run().Sharding
 	if st.Rounds == 0 {
-		t.Fatal("serial run recorded zero rounds")
+		t.Fatal("run recorded zero rounds")
 	}
 	if st.ParallelRounds == 0 {
-		t.Fatal("serial run recorded zero parallel rounds (workload too small?)")
+		t.Fatal("run recorded zero shard-phase rounds (workload too small?)")
 	}
 	if got := st.HorizonNextGlobal + st.HorizonRingCredit + st.HorizonWindow; got != st.ParallelRounds {
 		t.Fatalf("horizon attribution %d does not sum to parallel rounds %d", got, st.ParallelRounds)
 	}
-	if st.Workers != 1 {
-		t.Fatalf("serial Workers = %d, want 1", st.Workers)
-	}
-	if st.BarrierWaitNs != nil || st.BarrierDrainNs != 0 {
-		t.Fatalf("serial run collected barrier timing: wait=%v drain=%d", st.BarrierWaitNs, st.BarrierDrainNs)
-	}
-
-	for _, workers := range []int{2, 4} {
-		res := run(workers)
-		ps := res.Sharding
-		if ps.Rounds != st.Rounds || ps.ParallelRounds != st.ParallelRounds ||
-			ps.HorizonNextGlobal != st.HorizonNextGlobal ||
-			ps.HorizonRingCredit != st.HorizonRingCredit ||
-			ps.HorizonWindow != st.HorizonWindow {
-			t.Fatalf("workers=%d: deterministic counters drifted:\nserial %+v\ngot    %+v", workers, st, ps)
-		}
-		if ps.Workers != workers {
-			t.Fatalf("workers=%d: Workers field = %d", workers, ps.Workers)
-		}
-		if len(ps.BarrierWaitNs) != cfg.NumL2() {
-			t.Fatalf("workers=%d: BarrierWaitNs has %d entries, want %d (one per shard)",
-				workers, len(ps.BarrierWaitNs), cfg.NumL2())
-		}
-		for i, ns := range ps.BarrierWaitNs {
-			if ns < 0 {
-				t.Fatalf("workers=%d: negative barrier wait for shard %d: %d", workers, i, ns)
-			}
-		}
-		if ps.BarrierWaitTotalNs() < 0 {
-			t.Fatalf("workers=%d: negative total barrier wait", workers)
-		}
+	if ns := st.BarrierWaitTotalNs(); ns != 0 {
+		t.Fatalf("BarrierWaitTotalNs = %d, want 0", ns)
 	}
 }

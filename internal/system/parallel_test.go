@@ -2,12 +2,9 @@ package system
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"cmpcache/internal/audit"
 	"cmpcache/internal/config"
@@ -16,15 +13,6 @@ import (
 	"cmpcache/internal/txlat"
 	"cmpcache/internal/workload"
 )
-
-// allowProcs raises GOMAXPROCS for the duration of a test so the worker
-// pool actually spins up on single-CPU CI runners (the goroutines
-// timeshare; determinism must hold regardless of physical parallelism).
-func allowProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // parallelTrace synthesizes a deterministic tp-profile workload sized
 // for the matrix: enough cross-shard sharing and write backs to
@@ -44,10 +32,11 @@ func parallelTrace(t *testing.T, threads, refs int) *trace.Trace {
 	return tr
 }
 
-// matrixRun executes one (workers, attachments) cell and returns every
-// observable byte the run produced: the marshalled Results (which carry
-// the probe series and latency report), the probe's event trace, and
-// the auditor's verdict.
+// matrixRun executes one attachments cell and returns every observable
+// byte the run produced: the marshalled Results (which carry the probe
+// series and latency report), the probe's event trace, and the
+// auditor's verdict. prep, when non-nil, runs on the built system
+// before anything is attached.
 type matrixOut struct {
 	results  []byte
 	trace    []byte
@@ -56,14 +45,14 @@ type matrixOut struct {
 	sweeps   uint64
 }
 
-func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, workers int, attach string) matrixOut {
+func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, attach string, prep func(*System)) matrixOut {
 	t.Helper()
 	s, err := New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers > 1 {
-		s.SetWorkers(workers)
+	if prep != nil {
+		prep(s)
 	}
 	var (
 		tbuf bytes.Buffer
@@ -105,16 +94,16 @@ func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, workers int, at
 	return out
 }
 
-// TestParallelBitIdentical is the determinism matrix of Issue 7: for
-// every scenario × attachment combination, a run at 2, 4 and 8 workers
-// must reproduce the single-worker run bit for bit — marshalled
-// Results (including Metrics and Latency), the per-transaction event
-// trace, and the auditor's verdict and sweep count.
+// TestParallelBitIdentical is the determinism matrix: for every
+// scenario × attachment combination the reference run must pass the
+// differential audit, and a run configured through the deprecated
+// SetWorkers shim at -1, 0, 1 and 4 must reproduce it bit for bit —
+// marshalled Results (including Metrics and Latency), the
+// per-transaction event trace, and the auditor's verdict and sweep
+// count.
 func TestParallelBitIdentical(t *testing.T) {
-	allowProcs(t, 8)
-
 	big := config.Default()
-	big.Cores = 32 // NumL2 = 16: room for 8 genuinely distinct workers
+	big.Cores = 32 // NumL2 = 16 shards
 
 	type scenario struct {
 		name    string
@@ -130,7 +119,7 @@ func TestParallelBitIdentical(t *testing.T) {
 		{"default-wbht", config.Default().WithMechanism(config.WBHT), parallelTrace(t, 16, 400), []string{"none", "all"}},
 		{"default-snarf", config.Default().WithMechanism(config.Snarf), parallelTrace(t, 16, 400), []string{"none", "all"}},
 		{"default-combined", config.Default().WithMechanism(config.Combined), parallelTrace(t, 16, 400), all},
-		// Big chip: 16 shards, so 8 workers own 2 shards each.
+		// Big chip: 16 shards.
 		{"big-combined", big.WithMechanism(config.Combined), parallelTrace(t, 64, 120), all},
 	}
 
@@ -138,27 +127,27 @@ func TestParallelBitIdentical(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			for _, attach := range sc.attachs {
-				ref := matrixRun(t, sc.cfg, sc.tr, 1, attach)
+				ref := matrixRun(t, sc.cfg, sc.tr, attach, nil)
 				if attach == "auditor" || attach == "all" {
 					if !ref.auditOK {
-						t.Fatalf("%s: serial reference run failed audit:\n%s", attach, ref.auditSum)
+						t.Fatalf("%s: reference run failed audit:\n%s", attach, ref.auditSum)
 					}
 					if ref.sweeps == 0 {
-						t.Fatalf("%s: serial reference run swept 0 times; matrix would not exercise the auditor", attach)
+						t.Fatalf("%s: reference run swept 0 times; matrix would not exercise the auditor", attach)
 					}
 				}
-				for _, w := range []int{2, 4, 8} {
-					got := matrixRun(t, sc.cfg, sc.tr, w, attach)
+				for _, w := range []int{-1, 0, 1, 4} {
+					got := matrixRun(t, sc.cfg, sc.tr, attach, func(s *System) { s.SetWorkers(w) })
 					if !bytes.Equal(got.results, ref.results) {
-						t.Errorf("%s workers=%d: Results diverged from serial at %s",
+						t.Errorf("%s SetWorkers(%d): Results diverged from reference at %s",
 							attach, w, firstDiff(ref.results, got.results))
 					}
 					if !bytes.Equal(got.trace, ref.trace) {
-						t.Errorf("%s workers=%d: event trace diverged from serial at %s",
+						t.Errorf("%s SetWorkers(%d): event trace diverged from reference at %s",
 							attach, w, firstDiff(ref.trace, got.trace))
 					}
 					if got.auditOK != ref.auditOK || got.auditSum != ref.auditSum || got.sweeps != ref.sweeps {
-						t.Errorf("%s workers=%d: audit verdict diverged: ok=%v/%v sweeps=%d/%d\nserial: %s\ngot:    %s",
+						t.Errorf("%s SetWorkers(%d): audit verdict diverged: ok=%v/%v sweeps=%d/%d\nreference: %s\ngot:       %s",
 							attach, w, ref.auditOK, got.auditOK, ref.sweeps, got.sweeps, ref.auditSum, got.auditSum)
 					}
 				}
@@ -189,87 +178,4 @@ func firstDiff(a, b []byte) string {
 		}
 	}
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))
-}
-
-// TestSetWorkersClamp pins the worker-count resolution: auto (<= 0)
-// selects MaxWorkers = min(NumL2, GOMAXPROCS), and explicit requests
-// clamp to that — extra workers beyond the shard count or the CPU
-// budget would only contend.
-func TestSetWorkersClamp(t *testing.T) {
-	allowProcs(t, 8)
-	cfg := config.Default() // NumL2 = 4
-	if got := MaxWorkers(&cfg); got != 4 {
-		t.Fatalf("MaxWorkers = %d, want 4 (NumL2) under GOMAXPROCS=8", got)
-	}
-	s, err := New(cfg, parallelTrace(t, 16, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ req, want int }{
-		{0, 4}, {-1, 4}, {1, 1}, {3, 3}, {4, 4}, {64, 4},
-	} {
-		s.SetWorkers(tc.req)
-		if got := s.Workers(); got != tc.want {
-			t.Errorf("SetWorkers(%d) -> Workers() = %d, want %d", tc.req, got, tc.want)
-		}
-	}
-	runtime.GOMAXPROCS(2)
-	if got := MaxWorkers(&cfg); got != 2 {
-		t.Fatalf("MaxWorkers = %d, want 2 under GOMAXPROCS=2", got)
-	}
-	s.SetWorkers(0)
-	if got := s.Workers(); got != 2 {
-		t.Errorf("auto workers = %d, want 2 under GOMAXPROCS=2", got)
-	}
-}
-
-// TestParallelGoroutineBound asserts the pool's footprint: a run at W
-// workers holds at most W-1 goroutines beyond the caller (the
-// coordinator doubles as worker 0), and they are all retired by the
-// time Run returns.
-func TestParallelGoroutineBound(t *testing.T) {
-	allowProcs(t, 8)
-	before := runtime.NumGoroutine()
-	cfg := config.Default()
-	s, err := New(cfg, parallelTrace(t, 16, 400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetWorkers(4)
-	peak := 0
-	s.DebugWatchdog(func(int64, uint64, int, string) {
-		if n := runtime.NumGoroutine(); n > peak {
-			peak = n
-		}
-	})
-	s.Run()
-	if peak > before+3 {
-		t.Errorf("observed %d goroutines mid-run with 4 workers (baseline %d); pool must add at most 3", peak, before)
-	}
-	// Worker retirement is asynchronous; under a loaded machine (the
-	// full test suite saturating every core) the exiting goroutines can
-	// need real time, not just yields, to be descheduled and counted out.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines after Run, want <= %d: pool leaked workers", after, before)
-	}
-}
-
-// TestRunContextParallelCancel: cancellation must work (and not hang
-// the pool) when workers > 1.
-func TestRunContextParallelCancel(t *testing.T) {
-	allowProcs(t, 8)
-	s, err := New(config.Default(), parallelTrace(t, 16, 2_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetWorkers(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RunContext(ctx); err == nil {
-		t.Fatal("RunContext returned nil error under a cancelled context")
-	}
 }

@@ -148,15 +148,13 @@ type Results struct {
 	// tracked in BENCH_core.json.
 	EventsFired uint64
 
-	// Sharding describes the round-coordinator's execution shape: how
-	// many rounds the run took, how many had a parallel phase, which
-	// constraint set the horizon each time, and — for sharded runs — the
-	// wall-clock barrier cost. The counters are identical at every worker
-	// count, but attachments that schedule their own wake-ups (the
-	// metrics probe, windowed latency) add rounds, so the whole record is
-	// engine telemetry, not simulated outcome: it stays out of the JSON
-	// (result bytes keep the observation-only contract) and is read in
-	// process — cmpbench lifts it into BENCH_core.json measurements.
+	// Sharding describes the round coordinator's execution shape: how
+	// many rounds the run took, how many had a shard phase, and which
+	// constraint set the horizon each time. Attachments that schedule
+	// their own wake-ups (the metrics probe, windowed latency) add
+	// rounds, so the record is engine telemetry, not simulated outcome:
+	// it stays out of the JSON (result bytes keep the observation-only
+	// contract) and is read in process by the benchmarks.
 	Sharding ShardingStats `json:"-"`
 
 	// Metrics is the per-interval time series collected when a metrics
@@ -236,7 +234,6 @@ func (s *System) results() *Results {
 		EventsFired: s.eventsFired(),
 	}
 	r.Sharding = s.pstats
-	r.Sharding.Workers = s.workers
 	for i, c := range s.l2s {
 		r.ResidualMSHRs += c.MSHRCount()
 		r.ResidualWBQueued += c.WBQueueLen()

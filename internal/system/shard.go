@@ -14,8 +14,7 @@ import (
 // L2 cache, the hardware threads that feed it, and a private event
 // wheel. Everything a shard touches between bus-combine points is owned
 // by the shard alone — its L2's front end (probe, MSHRs, write-back
-// queue), its threads, its access pool and its fill-latency histogram —
-// so shards run concurrently between rounds with no locks.
+// queue), its threads, its access pool and its fill-latency histogram.
 //
 // Anything global (the rings, the L3, memory, system counters, the
 // observability attachments and the shared reuse tracker) is reached
@@ -29,8 +28,7 @@ import (
 //
 // Because every shard-side record carries its own timestamp and the
 // merge orders are fixed, the drained effect is a pure function of the
-// simulated workload — independent of how many worker goroutines ran
-// the shards, which is the whole bit-identity argument (DESIGN.md §15).
+// simulated workload (DESIGN.md §15).
 type shard struct {
 	sys    *System
 	idx    int
@@ -53,12 +51,6 @@ type shard struct {
 	// obsNext / postNext are the merge cursors used by the barrier.
 	obsNext  int
 	postNext int
-
-	// doneAtNs is the wall-clock instant this shard finished the current
-	// parallel phase, stamped by its worker and read by the coordinator
-	// after the barrier (the pool's done channel orders the accesses).
-	// Only set in pool mode; zero means the shard did not run this round.
-	doneAtNs int64
 }
 
 // obsKind discriminates replayed observation records.

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"bytes"
 	"testing"
 
 	"cmpcache/internal/audit"
@@ -67,12 +66,10 @@ func TestSilentStoreUpgradeNoBusTraffic(t *testing.T) {
 
 // TestSilentStoreUpgradeShardEquivalence pins the second property of
 // the Probe purity fix: the upgrade commit moved from inside Probe to
-// the shard's resolve dispatch, which runs on a shard's event wheel in
-// parallel runs — so a store-heavy private-line workload (all hits
-// after first touch, maximal silent-upgrade density) must stay
-// bit-identical between serial and sharded execution.
+// the shard's resolve dispatch, which runs on a shard's event wheel —
+// so a store-heavy private-line workload (all hits after first touch,
+// maximal silent-upgrade density) must pass the differential audit.
 func TestSilentStoreUpgradeShardEquivalence(t *testing.T) {
-	allowProcs(t, 8)
 	cfg := config.Default()
 	var recs []trace.Record
 	// 16 threads, each load-then-store cycling over 8 private lines:
@@ -87,17 +84,7 @@ func TestSilentStoreUpgradeShardEquivalence(t *testing.T) {
 		recs = append(recs, trace.Record{Thread: th, Op: op, Addr: ln * 128, Gap: uint32(i % 3)})
 	}
 	tr := mkTrace(recs...)
-	ref := matrixRun(t, cfg, tr, 1, "auditor")
-	if !ref.auditOK {
-		t.Fatalf("serial reference failed audit:\n%s", ref.auditSum)
-	}
-	for _, w := range []int{2, 4, 8} {
-		got := matrixRun(t, cfg, tr, w, "auditor")
-		if !bytes.Equal(got.results, ref.results) {
-			t.Errorf("workers=%d: results diverged at %s", w, firstDiff(ref.results, got.results))
-		}
-		if !got.auditOK {
-			t.Errorf("workers=%d: audit violations:\n%s", w, got.auditSum)
-		}
+	if ref := matrixRun(t, cfg, tr, "auditor", nil); !ref.auditOK {
+		t.Fatalf("audit violations:\n%s", ref.auditSum)
 	}
 }

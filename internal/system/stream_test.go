@@ -22,9 +22,8 @@ func marshalResults(t *testing.T, s *System) []byte {
 // TestStreamMatchesMemory is the tentpole acceptance criterion: replaying
 // a capture through the streaming path (sharded store on disk, chunked
 // per-thread iterators, bounded memory) must be bit-identical to the
-// in-memory path, across mechanisms and intra-run worker counts.
+// in-memory path, across mechanisms.
 func TestStreamMatchesMemory(t *testing.T) {
-	allowProcs(t, 4)
 	for _, wl := range []string{"tp", "trade2"} {
 		p, err := workload.ByName(wl)
 		if err != nil {
@@ -40,42 +39,33 @@ func TestStreamMatchesMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mech := range []config.Mechanism{config.Baseline, config.WBHT, config.Snarf, config.Combined} {
-			for _, workers := range []int{0, 2} {
-				cfg := config.Default().WithMechanism(mech)
+			cfg := config.Default().WithMechanism(mech)
 
-				mem, err := New(cfg, tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if workers > 0 {
-					mem.SetWorkers(workers)
-				}
-				want := marshalResults(t, mem)
-
-				sh, err := trace.OpenSharded(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				str, err := NewStream(cfg, sh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if workers > 0 {
-					str.SetWorkers(workers)
-				}
-				got := marshalResults(t, str)
-
-				if string(want) != string(got) {
-					t.Fatalf("%s/%s/workers=%d: streaming run diverged from in-memory run",
-						wl, mech, workers)
-				}
-				// Bounded memory held during the replay itself.
-				if max := sh.MaxBufferedRecords(); max == 0 || max > int64(tr.Threads)*128 {
-					t.Fatalf("%s: MaxBufferedRecords = %d, want in (0, %d]",
-						wl, max, tr.Threads*128)
-				}
-				sh.Close()
+			mem, err := New(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := marshalResults(t, mem)
+
+			sh, err := trace.OpenSharded(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			str, err := NewStream(cfg, sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := marshalResults(t, str)
+
+			if string(want) != string(got) {
+				t.Fatalf("%s/%s: streaming run diverged from in-memory run", wl, mech)
+			}
+			// Bounded memory held during the replay itself.
+			if max := sh.MaxBufferedRecords(); max == 0 || max > int64(tr.Threads)*128 {
+				t.Fatalf("%s: MaxBufferedRecords = %d, want in (0, %d]",
+					wl, max, tr.Threads*128)
+			}
+			sh.Close()
 		}
 	}
 }

@@ -17,15 +17,13 @@
 // tag probes, MSHRs, write-back queue) runs on its own event wheel,
 // and the bus FIFO — the chip's only global ordering point — lives on a
 // global wheel that a deterministic round coordinator interleaves with
-// the shards (see parallel.go and DESIGN.md §15). Results are
-// bit-identical at every worker count; SetWorkers only changes wall
-// clock.
+// the shards (see parallel.go and DESIGN.md §15). Every phase runs
+// inline on the caller's goroutine.
 package system
 
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"cmpcache/internal/audit"
 	"cmpcache/internal/coherence"
@@ -61,13 +59,8 @@ type System struct {
 	// bus combine events (serial phase).
 	policy wbpolicy.Chip
 
-	// workers is the parallel-phase goroutine count (1 = fully serial
-	// execution of the identical round structure).
-	workers int
-
 	// pstats accumulates the round coordinator's execution-shape
-	// counters and (pool mode only) wall-clock barrier attribution;
-	// copied into Results.Sharding at the end of the run.
+	// counters; copied into Results.Sharding at the end of the run.
 	pstats ShardingStats
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
@@ -146,7 +139,6 @@ func newCore(cfg config.Config) *System {
 		rswitch:   core.NewRetrySwitch(cfg.WBHT),
 		reuse:     newReuseTracker(),
 		everInL3:  make(map[uint64]struct{}),
-		workers:   1,
 	}
 	s.policy = wbpolicy.New(&s.cfg)
 	for i := 0; i < cfg.NumL2(); i++ {
@@ -278,11 +270,12 @@ func (s *System) Run() *Results {
 	return s.finish()
 }
 
-// cancelCheckEvery is how many serial-phase events RunContext lets pass
-// between context polls (the coordinator also polls once per round).
-// Polling happens outside the event stream — nothing is scheduled,
-// Fired does not move, the simulation is bit-identical to Run — so the
-// granularity only bounds cancellation latency.
+// cancelCheckEvery is how many coordinator rounds plus serial-phase
+// events RunContext lets pass between context polls (it also polls once
+// on entry). Polling happens outside the event stream — nothing is
+// scheduled, Fired does not move, the simulation is bit-identical to
+// Run — so the granularity only bounds cancellation latency, while
+// keeping the poll's lock off the per-round path.
 const cancelCheckEvery = 8192
 
 // RunContext is Run with cooperative cancellation: it executes the
@@ -372,33 +365,4 @@ func (s *System) eventsFired() uint64 {
 		n += sh.engine.Fired()
 	}
 	return n
-}
-
-// DebugWatchdog installs a periodic progress probe: every hundred
-// thousand cycles, cb receives the current cycle, total events fired,
-// pending event count and a one-line system snapshot. Diagnostics only.
-func (s *System) DebugWatchdog(cb func(cycles int64, fired uint64, pending int, extra string)) {
-	var probe func()
-	probe = func() {
-		var wbq, mshr strings.Builder
-		for i, c := range s.l2s {
-			if i > 0 {
-				wbq.WriteByte(' ')
-				mshr.WriteByte(' ')
-			}
-			fmt.Fprintf(&wbq, "%d", c.WBQueueLen())
-			fmt.Fprintf(&mshr, "%d", c.MSHRCount())
-		}
-		extra := fmt.Sprintf("outstanding=%d wbq=[%s] inflight=%v mshr=[%s] l3tok=%d",
-			s.threadsOutstanding(), wbq.String(), s.wbInFlight, mshr.String(), s.l3.QueueInUse())
-		pending := s.engine.Pending()
-		for _, sh := range s.shards {
-			pending += sh.engine.Pending()
-		}
-		cb(int64(s.engine.Now()), s.eventsFired(), pending, extra)
-		if !s.threadsDone() {
-			s.engine.Schedule(100_000, probe)
-		}
-	}
-	s.engine.Schedule(0, probe)
 }

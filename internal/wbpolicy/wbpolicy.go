@@ -10,7 +10,7 @@
 // A policy splits into two halves:
 //
 //   - Agent: the per-L2 half. Its hooks run wherever that L2's events
-//     run — including a shard's event wheel during the parallel phase —
+//     run — including a shard's event wheel during the shard phase —
 //     so an Agent may touch only its own state plus read-only
 //     configuration. One Agent instance serves exactly one L2.
 //
