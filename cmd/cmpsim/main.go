@@ -147,16 +147,16 @@ func main() {
 		src = trace.NewMemSource(tr)
 	}
 
-	// Every attachment is observation-only, so all of them compose onto
+	// Every observer is observation-only, so all of them compose onto
 	// one run.
-	var opts cmpcache.RunOptions
-	if *auditRun {
-		opts.Auditor = cmpcache.NewAuditor(cmpcache.AuditConfig{Differential: *auditDiff})
-	}
-	var tw *metrics.TraceWriter
-	var tf *os.File
+	var (
+		obs     []cmpcache.Observer
+		auditor *cmpcache.Auditor
+		tw      *metrics.TraceWriter
+		tf      *os.File
+	)
 	if *metricsOut != "" || *traceOut != "" {
-		opts.Probe = cmpcache.NewMetricsProbe(cmpcache.MetricsConfig{
+		probe := cmpcache.NewMetricsProbe(cmpcache.MetricsConfig{
 			Interval: config.Cycles(*metricsIval),
 		})
 		if *traceOut != "" {
@@ -165,17 +165,22 @@ func main() {
 				fatalf("%v", err)
 			}
 			tw = metrics.NewTraceWriter(tf, metrics.FormatForPath(*traceOut))
-			opts.Probe.SetTrace(tw)
+			probe.SetTrace(tw)
 		}
+		obs = append(obs, probe)
+	}
+	if *auditRun {
+		auditor = cmpcache.NewAuditor(cmpcache.AuditConfig{Differential: *auditDiff})
+		obs = append(obs, auditor)
 	}
 	if *latOut != "" {
-		opts.Latency = cmpcache.NewLatencyCollector(cmpcache.LatencyConfig{
+		obs = append(obs, cmpcache.NewLatencyCollector(cmpcache.LatencyConfig{
 			TopK:     *latTopK,
 			Interval: config.Cycles(*latInterval),
-		})
+		}))
 	}
 
-	res, err := cmpcache.RunSourceWith(cfg, src, opts)
+	res, err := cmpcache.RunSource(cfg, src, obs...)
 	if tw != nil {
 		if cerr := tw.Close(); cerr != nil {
 			fatalf("trace-out: %v", cerr)
@@ -188,9 +193,9 @@ func main() {
 		fatalf("%v", err)
 	}
 	auditFailed := false
-	if opts.Auditor != nil {
-		fmt.Fprint(os.Stderr, opts.Auditor.Summary())
-		auditFailed = !opts.Auditor.Ok()
+	if auditor != nil {
+		fmt.Fprint(os.Stderr, auditor.Summary())
+		auditFailed = !auditor.Ok()
 	}
 	if *metricsOut != "" {
 		if werr := writeSeries(*metricsOut, res.Metrics); werr != nil {

@@ -26,6 +26,12 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Summary())
 //
+// Observers attach as trailing arguments and never change the outcome:
+//
+//	probe := cmpcache.NewMetricsProbe(cmpcache.MetricsConfig{})
+//	aud := cmpcache.NewAuditor(cmpcache.AuditConfig{Differential: true})
+//	res, err = cmpcache.Run(cfg, tr, probe, aud) // res.Metrics, aud.Ok()
+//
 // The experiment harness that regenerates every table and figure of the
 // paper's evaluation lives in cmd/cmpbench; see EXPERIMENTS.md for the
 // paper-versus-measured record.
@@ -35,6 +41,7 @@ import (
 	"cmpcache/internal/audit"
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/system"
 	"cmpcache/internal/trace"
 	"cmpcache/internal/txlat"
@@ -93,7 +100,7 @@ type Results = system.Results
 // how many rounds the event loop ran, how many ran a shard phase, and
 // why each shard-phase horizon was limited (next global event, ring
 // credit, or observability window). The counters are deterministic for
-// a given run and its attachments, and stay out of Results JSON.
+// a given run and its observers, and stay out of Results JSON.
 type ShardingStats = system.ShardingStats
 
 // WorkloadProfile describes a synthetic workload; see
@@ -104,11 +111,32 @@ type WorkloadProfile = workload.Profile
 // write-back policy and six outstanding misses per thread.
 func DefaultConfig() Config { return config.Default() }
 
-// Run simulates tr on a system configured by cfg and returns the
-// complete statistics. It is deterministic: identical inputs yield
-// identical results.
-func Run(cfg Config, tr *Trace) (*Results, error) {
-	s, err := system.New(cfg, tr)
+// Observer is an observation-only attachment for a run: the metrics
+// probe, the invariant auditor and the latency collector all implement
+// it, and any set of them composes onto one run without changing its
+// outcome; see internal/observe.
+type Observer = observe.Observer
+
+// Run simulates tr on a system configured by cfg, with obs attached,
+// and returns the complete statistics. It is deterministic: identical
+// inputs yield identical results, with or without observers.
+// Results.Metrics and Results.Latency carry an attached probe's series
+// and collector's report; an auditor is inspected afterward through its
+// own methods.
+func Run(cfg Config, tr *Trace, obs ...Observer) (*Results, error) {
+	s, err := system.New(cfg, tr, obs...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
+
+// RunSource is Run over a streaming trace source: thread feeds pull
+// chunked per-thread iterators, so replay memory is bounded by the
+// source's chunk size rather than the trace length. A completed run is
+// bit-identical to Run over the equivalent in-memory trace.
+func RunSource(cfg Config, src TraceSource, obs ...Observer) (*Results, error) {
+	s, err := system.NewStream(cfg, src, obs...)
 	if err != nil {
 		return nil, err
 	}
@@ -123,31 +151,19 @@ type MetricsProbe = metrics.Probe
 type MetricsConfig = metrics.Config
 
 // MetricsSeries is the interval series a probe produces; Results.Metrics
-// carries it after a RunWithProbe.
+// carries it after a run with the probe attached.
 type MetricsSeries = metrics.Series
 
 // NewMetricsProbe returns a probe sampling at cfg.Interval cycles
 // (<= 0 selects the paper's 1M-cycle retry window).
 func NewMetricsProbe(cfg MetricsConfig) *MetricsProbe { return metrics.NewProbe(cfg) }
 
-// RunWithProbe simulates tr with p attached: the returned Results carry
-// p's completed interval series in Results.Metrics, and any trace
-// writer set on p receives the structured event stream. The simulated
-// outcome is identical to Run — the probe is observation-only.
-func RunWithProbe(cfg Config, tr *Trace, p *MetricsProbe) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	s.Attach(p)
-	return s.Run(), nil
-}
-
 // Auditor is the shadow invariant checker of internal/audit: attached
 // to a run, it verifies single-writer coherence, dirty-line
 // conservation, squash soundness and resource-credit conservation on
 // every sweep and at end-of-run drain, without perturbing the
-// simulation.
+// simulation. Inspect a.Ok(), a.Violations() or a.Summary() after the
+// run.
 type Auditor = audit.Auditor
 
 // AuditConfig parameterizes an Auditor.
@@ -158,19 +174,6 @@ type AuditViolation = audit.Violation
 
 // NewAuditor returns an unattached invariant checker.
 func NewAuditor(cfg AuditConfig) *Auditor { return audit.New(cfg) }
-
-// RunAudited simulates tr with a attached as a shadow invariant
-// checker. The simulated outcome is identical to Run — the auditor is
-// observation-only; inspect a.Ok(), a.Violations() or a.Summary()
-// afterward.
-func RunAudited(cfg Config, tr *Trace, a *Auditor) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	s.AttachAuditor(a)
-	return s.Run(), nil
-}
 
 // LatencyCollector is the per-transaction latency attribution layer of
 // internal/txlat: attached to a run, it stamps every demand miss and
@@ -192,54 +195,6 @@ type RunLatencyFile = txlat.RunLatency
 
 // NewLatencyCollector returns an unattached latency collector.
 func NewLatencyCollector(cfg LatencyConfig) *LatencyCollector { return txlat.New(cfg) }
-
-// RunOptions bundles the observation-only attachments a run can carry;
-// any subset (including none) may be set, and all compose.
-type RunOptions struct {
-	Probe   *MetricsProbe
-	Auditor *Auditor
-	Latency *LatencyCollector
-}
-
-// attach installs every attachment set in opts on s.
-func (opts RunOptions) attach(s *system.System) {
-	if opts.Probe != nil {
-		s.Attach(opts.Probe)
-	}
-	if opts.Auditor != nil {
-		s.AttachAuditor(opts.Auditor)
-	}
-	if opts.Latency != nil {
-		s.AttachLatency(opts.Latency)
-	}
-}
-
-// RunWith simulates tr with every attachment in opts installed. The
-// simulated outcome is identical to Run — all attachments are
-// observation-only; Results.Metrics and Results.Latency carry the probe
-// series and latency report, and the auditor is inspected afterward via
-// its own methods.
-func RunWith(cfg Config, tr *Trace, opts RunOptions) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	opts.attach(s)
-	return s.Run(), nil
-}
-
-// RunSourceWith is RunWith over a streaming trace source: thread feeds
-// pull chunked per-thread iterators, so replay memory is bounded by the
-// source's chunk size rather than the trace length. A completed run is
-// bit-identical to RunWith over the equivalent in-memory trace.
-func RunSourceWith(cfg Config, src TraceSource, opts RunOptions) (*Results, error) {
-	s, err := system.NewStream(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	opts.attach(s)
-	return s.Run(), nil
-}
 
 // Workloads lists the built-in synthetic commercial workloads:
 // "tp", "cpw2", "notesbench" and "trade2".

@@ -1,10 +1,13 @@
 package cmpcache_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"cmpcache"
+	"cmpcache/internal/trace"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -46,6 +49,51 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(res.Summary(), "execution time") {
 		t.Fatal("Summary missing expected content")
+	}
+}
+
+// TestRunSourceMatchesRun pins the two entry points to each other: Run
+// over an in-memory trace and RunSource over the same trace written as
+// a sharded capture return byte-identical Results, observers included.
+func TestRunSourceMatchesRun(t *testing.T) {
+	tr, err := cmpcache.GenerateWorkloadSized("tp", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := trace.WriteSharded(dir, tr, trace.ShardOptions{Shards: 3, BatchRecords: 128}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cmpcache.DefaultConfig()
+	cfg.Mechanism = cmpcache.Combined
+	observers := func() []cmpcache.Observer {
+		return []cmpcache.Observer{
+			cmpcache.NewMetricsProbe(cmpcache.MetricsConfig{Interval: 5_000}),
+			cmpcache.NewLatencyCollector(cmpcache.LatencyConfig{Interval: 20_000}),
+		}
+	}
+	marshal := func(res *cmpcache.Results, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics == nil || res.Latency == nil {
+			t.Fatal("observer output missing from Results")
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := marshal(cmpcache.Run(cfg, tr, observers()...))
+	src, err := cmpcache.OpenTraceDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if got := marshal(cmpcache.RunSource(cfg, src, observers()...)); !bytes.Equal(got, want) {
+		t.Fatal("RunSource over the sharded capture diverged from Run over the trace")
 	}
 }
 

@@ -70,7 +70,7 @@ func main() {
 		probe.SetTrace(tw)
 	}
 
-	res, err := cmpcache.RunWith(cfg, tr, cmpcache.RunOptions{Probe: probe, Latency: lat})
+	res, err := cmpcache.Run(cfg, tr, probe, lat)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package audit is a shadow invariant checker for the simulated cache
-// hierarchy. An Auditor attaches to a system through the same
-// observation-only hook pattern as the metrics probe: the engine's
-// per-event tick drives periodic whole-hierarchy sweeps, and a set of
-// semantic hooks (called by internal/system at each protocol commit
-// point) keeps incremental ledgers. Attaching an auditor never perturbs
+// hierarchy. An Auditor is an observe.Observer like the metrics probe:
+// the system's event-count cadence (observe.Fired) drives periodic
+// whole-hierarchy sweeps, and the events raised at each protocol commit
+// point keep incremental ledgers. Attaching an auditor never perturbs
 // the event sequence — every read it performs is a non-perturbing peek,
 // which a bit-identity test in internal/system pins.
 //
@@ -37,6 +36,7 @@ import (
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
 	"cmpcache/internal/l3"
+	"cmpcache/internal/observe"
 )
 
 // Config parameterizes an Auditor.
@@ -87,8 +87,9 @@ type violationKey struct {
 	key  uint64
 }
 
-// Auditor is the shadow checker. Create with New, attach with
-// System.AttachAuditor, inspect with Violations/Ok/Summary after Run.
+// Auditor is the shadow checker and an observe.Observer. Create with
+// New, attach by passing it to the system's constructor, inspect with
+// Violations/Ok/Summary after Run.
 type Auditor struct {
 	cfg  Config
 	view View
@@ -157,8 +158,8 @@ func New(cfg Config) *Auditor {
 	return a
 }
 
-// Bind attaches the auditor to a system view. The system calls it from
-// AttachAuditor; it must run before the first event.
+// Bind attaches the auditor to a system view. The system calls it when
+// the auditor attaches, before the first event.
 func (a *Auditor) Bind(v View) {
 	a.view = v
 	if a.cfg.Differential {
@@ -166,33 +167,11 @@ func (a *Auditor) Bind(v View) {
 	}
 }
 
-// Tick observes one engine event; the system installs it on the
-// engine's tick slot. Full sweeps run every SweepEvery events, between
-// events, when every protocol invariant must hold.
-func (a *Auditor) Tick(now config.Cycles) {
-	a.now = now
-	a.events++
-	if a.events%a.cfg.SweepEvery == 0 {
-		a.sweep()
-	}
-}
+// Tick does nothing: the auditor has no sampling windows.
+func (a *Auditor) Tick(config.Cycles) {}
 
-// AdvanceEvents is the batched form of Tick used by the sharded
-// coordinator: it moves the audit clock to now and credits n events
-// toward the sweep cadence, running every sweep the batch crossed. With
-// n == 0 it only restamps the clock — the barrier replay uses that form
-// so each replayed hook's violations carry the hook's own event time.
-func (a *Auditor) AdvanceEvents(now config.Cycles, n uint64) {
-	a.now = now
-	if n == 0 {
-		return
-	}
-	sweepsBefore := a.events / a.cfg.SweepEvery
-	a.events += n
-	for sweeps := a.events/a.cfg.SweepEvery - sweepsBefore; sweeps > 0; sweeps-- {
-		a.sweep()
-	}
-}
+// NextBoundary returns observe.NoBoundary.
+func (a *Auditor) NextBoundary() config.Cycles { return observe.NoBoundary }
 
 // report records one violation, deduplicated by (kind, key).
 func (a *Auditor) report(kind string, key uint64, format string, args ...any) {
@@ -210,51 +189,91 @@ func (a *Auditor) report(kind string, key uint64, format string, args ...any) {
 	})
 }
 
-// --- Semantic hooks (called by internal/system; all observation-only) ---
+// --- Events (all observation-only) ---
 
-// OnStoreHit: a store completed locally via a silent E→M upgrade (or hit
-// an already-Modified line after claiming Exclusive).
-func (a *Auditor) OnStoreHit(idx int, key uint64) {
-	a.markDirty(key)
-	if a.model != nil {
-		a.model.StoreHit(idx, key)
+// Observe applies one event. The audit clock moves to the event's cycle
+// first, so a violation carries the cycle of the event that revealed
+// it. Fired events credit the sweep cadence: full sweeps run every
+// SweepEvery events, between events, when every protocol invariant must
+// hold. The protocol commit points keep the incremental ledgers (and
+// the reference model) in step.
+func (a *Auditor) Observe(e observe.Event) {
+	a.now = e.At
+	switch e.Kind {
+	case observe.Fired:
+		sweepsBefore := a.events / a.cfg.SweepEvery
+		a.events += e.N
+		for sweeps := a.events/a.cfg.SweepEvery - sweepsBefore; sweeps > 0; sweeps-- {
+			a.sweep()
+		}
+	case observe.StoreHit:
+		// A store completed locally via a silent E→M upgrade.
+		a.markDirty(e.Key)
+		if a.model != nil {
+			a.model.StoreHit(e.L2, e.Key)
+		}
+	case observe.Upgrade:
+		// A restarted claim found its copy invalidated and reissued as
+		// an RWITM; an update-mode claim (hybrid update/invalidate)
+		// left sharers with demoted copies.
+		if !e.Restarted {
+			a.markDirty(e.Key)
+		}
+		switch {
+		case a.model == nil:
+		case e.Update:
+			a.model.Update(e.L2, e.Key, e.State)
+		default:
+			a.model.Upgrade(e.L2, e.Key, e.Restarted)
+		}
+	case observe.Fill:
+		if e.State.Dirty() {
+			a.markDirty(e.Key)
+		}
+		if a.model != nil {
+			a.model.Fill(e.L2, e.Key, e.Txn, e.State, e.Out)
+		}
+	case observe.Victim:
+		a.onVictim(e.L2, e.Key, e.State, e.Action == l2.VictimQueued)
+	case observe.WBReinstall:
+		if a.model != nil {
+			a.model.Reinstall(e.L2, e.WB)
+		}
+	case observe.WBCancelled:
+		// An elected snarf winner's arbitration is void.
+		if e.SnarfElected {
+			a.cancelledSnarf++
+		}
+	case observe.WBSquashed:
+		a.onWBSquashed(e.L2, e.WB, e.ByL3, e.Peer)
+	case observe.WBSnarfed:
+		if a.model != nil {
+			a.model.Snarfed(e.L2, e.WB, e.Peer, e.Displaced, e.Dropped)
+		}
+	case observe.WBToL3:
+		a.inflightL3[e.Key]++
+		if e.WB.Kind == coherence.DirtyWB {
+			a.dirtyInFl[e.Key]++
+		}
+		if a.model != nil {
+			a.model.ToL3(e.L2, e.Key)
+		}
+	case observe.L3Retire:
+		a.onL3Retire(e.Key, e.Txn, e.Displaced, e.Castout)
+	case observe.TokenAcquired:
+		a.tokens++
+	case observe.TokenReleased:
+		a.tokens--
+		if a.tokens < 0 {
+			a.report("token-underflow", 0, "more L3 queue tokens released than acquired")
+			a.tokens = 0
+		}
 	}
 }
 
-// OnUpgrade: an ownership claim combined. restarted reports that the
-// requester found its copy invalidated and reissued as RWITM.
-func (a *Auditor) OnUpgrade(idx int, key uint64, restarted bool) {
-	if !restarted {
-		a.markDirty(key)
-	}
-	if a.model != nil {
-		a.model.Upgrade(idx, key, restarted)
-	}
-}
-
-// OnUpdate: an ownership claim combined in update mode (hybrid
-// update/invalidate policy): sharers kept demoted copies and the writer
-// installed st (Tagged with surviving sharers, Modified without).
-func (a *Auditor) OnUpdate(idx int, key uint64, st coherence.State) {
-	a.markDirty(key)
-	if a.model != nil {
-		a.model.Update(idx, key, st)
-	}
-}
-
-// OnFill: a demand fill committed with state st.
-func (a *Auditor) OnFill(idx int, key uint64, kind coherence.TxnKind, st coherence.State, out coherence.Outcome) {
-	if st.Dirty() {
-		a.markDirty(key)
-	}
-	if a.model != nil {
-		a.model.Fill(idx, key, kind, st, out)
-	}
-}
-
-// OnVictim: a valid line left idx's tag array; queued reports a
+// onVictim: a valid line left idx's tag array; queued reports a
 // write-back queue entry was created for it.
-func (a *Auditor) OnVictim(idx int, key uint64, st coherence.State, queued bool) {
+func (a *Auditor) onVictim(idx int, key uint64, st coherence.State, queued bool) {
 	if st.Dirty() && !queued {
 		a.report("dirty-dropped", key,
 			"L2 %d evicted dirty line in state %v without queueing a write back", idx, st)
@@ -264,26 +283,9 @@ func (a *Auditor) OnVictim(idx int, key uint64, st coherence.State, queued bool)
 	}
 }
 
-// OnWBReinstall: a demand access caught entry in idx's write-back queue
-// and the line returned to the tag array.
-func (a *Auditor) OnWBReinstall(idx int, e l2.WBEntry) {
-	if a.model != nil {
-		a.model.Reinstall(idx, e)
-	}
-}
-
-// OnWBCancelled: an in-flight write back combined after its entry was
-// cancelled by a demand re-fetch. snarfElected reports the combined
-// response had chosen a snarf winner (the arbitration is void).
-func (a *Auditor) OnWBCancelled(idx int, key uint64, snarfElected bool) {
-	if snarfElected {
-		a.cancelledSnarf++
-	}
-}
-
-// OnWBSquashed: entry's write back was squashed — by the L3 redundancy
+// onWBSquashed: entry's write back was squashed — by the L3 redundancy
 // filter when byL3, else by peer squasher holding a valid copy.
-func (a *Auditor) OnWBSquashed(idx int, e l2.WBEntry, byL3 bool, squasher int) {
+func (a *Auditor) onWBSquashed(idx int, e l2.WBEntry, byL3 bool, squasher int) {
 	if byL3 {
 		// Squash soundness: the L3 filter may only squash lines whose
 		// tag is valid there at squash time (Section 2's baseline
@@ -302,28 +304,9 @@ func (a *Auditor) OnWBSquashed(idx int, e l2.WBEntry, byL3 bool, squasher int) {
 	}
 }
 
-// OnWBSnarfed: winner installed idx's write back entry; displaced (valid
-// when dropped) is the Shared line the install victimized.
-func (a *Auditor) OnWBSnarfed(idx int, e l2.WBEntry, winner int, displaced uint64, dropped bool) {
-	if a.model != nil {
-		a.model.Snarfed(idx, e, winner, displaced, dropped)
-	}
-}
-
-// OnWBToL3: entry left idx's queue toward the L3 array.
-func (a *Auditor) OnWBToL3(idx int, e l2.WBEntry) {
-	a.inflightL3[e.Key]++
-	if e.Kind == coherence.DirtyWB {
-		a.dirtyInFl[e.Key]++
-	}
-	if a.model != nil {
-		a.model.ToL3(idx, e.Key)
-	}
-}
-
-// OnL3Retire: the L3 array write for key retired. castout (valid when
+// onL3Retire: the L3 array write for key retired. castout (valid when
 // hadCastout) is the dirty victim displaced toward memory.
-func (a *Auditor) OnL3Retire(key uint64, kind coherence.TxnKind, castout uint64, hadCastout bool) {
+func (a *Auditor) onL3Retire(key uint64, kind coherence.TxnKind, castout uint64, hadCastout bool) {
 	if a.inflightL3[key] <= 0 {
 		a.report("l3-retire-unmatched", key, "L3 retired a write that was never sent")
 	} else {
@@ -348,19 +331,6 @@ func (a *Auditor) OnL3Retire(key uint64, kind coherence.TxnKind, castout uint64,
 		// L2 re-dirtied the line since, in which case that copy is the
 		// one conservation must find).
 		a.memValid[castout] = struct{}{}
-	}
-}
-
-// OnTokenAcquired: the L3 granted an incoming-queue token to a snooped
-// write back.
-func (a *Auditor) OnTokenAcquired() { a.tokens++ }
-
-// OnTokenReleased: one L3 incoming-queue token returned.
-func (a *Auditor) OnTokenReleased() {
-	a.tokens--
-	if a.tokens < 0 {
-		a.report("token-underflow", 0, "more L3 queue tokens released than acquired")
-		a.tokens = 0
 	}
 }
 

@@ -89,10 +89,9 @@ func RunSeed(seed int64) (*audit.Auditor, *system.Results, error) {
 		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
 	a := audit.New(audit.Config{Differential: true, SweepEvery: 2048})
-	s, err := system.New(cfg, tr)
+	s, err := system.New(cfg, tr, a)
 	if err != nil {
 		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	s.AttachAuditor(a)
 	return a, s.Run(), nil
 }

@@ -28,15 +28,14 @@ import (
 type IssueFunc func(tid int, op trace.Op, key uint64, done func(config.Cycles))
 
 // thread is one SMT hardware context. recs is the thread's current
-// window into its reference stream: the whole stream on the in-memory
-// path (src nil), or one chunk at a time on the streaming path, where
-// draining recs refills it from src until the stream is exhausted.
+// window into its reference stream, one chunk at a time: draining recs
+// refills it from src until the stream is exhausted.
 type thread struct {
 	id          int
 	recs        []trace.Record
 	idx         int
-	src         trace.Stream // nil on the in-memory path
-	exhausted   bool         // src returned its final chunk
+	src         trace.Stream
+	exhausted   bool // src returned its final chunk
 	outstanding int
 	lastIssue   config.Cycles
 	wakePending bool
@@ -56,7 +55,7 @@ type thread struct {
 type Complex struct {
 	engine    *sim.Engine
 	issue     IssueFunc
-	threads   []*thread
+	threads   []thread
 	lineShift uint
 	max       int
 	active    int
@@ -67,36 +66,10 @@ type Complex struct {
 	hTryIssue sim.Handler
 }
 
-// New builds a thread complex. streams[i] is thread i's reference
-// stream (use trace.Trace.PerThread); cfg supplies the line size and the
-// outstanding-miss limit.
-func New(engine *sim.Engine, cfg *config.Config, streams [][]trace.Record, issue IssueFunc) *Complex {
-	if issue == nil {
-		panic("cpu: nil issue function")
-	}
-	c := &Complex{
-		engine:    engine,
-		issue:     issue,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		max:       cfg.MaxOutstanding,
-	}
-	c.hTryIssue = func(d sim.EventData) { c.tryIssue(d.Ptr.(*thread)) }
-	for i, recs := range streams {
-		th := &thread{id: i, recs: recs}
-		th.doneFn = func(at config.Cycles) { c.complete(th, at) }
-		if len(recs) == 0 {
-			th.done = true
-		} else {
-			c.active++
-		}
-		c.threads = append(c.threads, th)
-	}
-	return c
-}
-
 // NewStreams builds a thread complex fed by chunked per-thread streams
-// (trace.Source.Stream) instead of materialized record slices; nil
-// entries are idle threads. Each thread holds one chunk at a time, so
+// (trace.Source.Stream); streams[i] is thread i's stream and nil
+// entries are idle threads. cfg supplies the line size and the
+// outstanding-miss limit. Each thread holds one chunk at a time, so
 // replay memory is bounded by the source's chunk size rather than the
 // trace length. The first chunk of every stream is fetched eagerly so
 // open/decode errors surface at construction; a mid-run stream error
@@ -110,29 +83,28 @@ func NewStreams(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, 
 	c := &Complex{
 		engine:    engine,
 		issue:     issue,
+		threads:   make([]thread, len(streams)),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		max:       cfg.MaxOutstanding,
 	}
 	c.hTryIssue = func(d sim.EventData) { c.tryIssue(d.Ptr.(*thread)) }
 	for i, src := range streams {
-		th := &thread{id: i, src: src}
+		th := &c.threads[i]
+		th.id, th.src, th.done = i, src, true
 		th.doneFn = func(at config.Cycles) { c.complete(th, at) }
 		if src == nil {
-			th.done = true
-		} else {
-			chunk, err := src.NextChunk()
-			if err != nil {
-				return nil, fmt.Errorf("cpu: thread %d stream: %w", i, err)
-			}
-			if len(chunk) == 0 {
-				th.exhausted = true
-				th.done = true
-			} else {
-				th.recs = chunk
-				c.active++
-			}
+			continue
 		}
-		c.threads = append(c.threads, th)
+		chunk, err := src.NextChunk()
+		if err != nil {
+			return nil, fmt.Errorf("cpu: thread %d stream: %w", i, err)
+		}
+		if len(chunk) == 0 {
+			th.exhausted = true
+		} else {
+			th.recs, th.done = chunk, false
+			c.active++
+		}
 	}
 	return c, nil
 }
@@ -140,7 +112,7 @@ func NewStreams(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, 
 // refill advances the thread's stream window to its next chunk,
 // reporting whether more records are available.
 func (c *Complex) refill(th *thread) bool {
-	if th.src == nil || th.exhausted {
+	if th.exhausted {
 		return false
 	}
 	chunk, err := th.src.NextChunk()
@@ -157,8 +129,8 @@ func (c *Complex) refill(th *thread) bool {
 
 // Start schedules each thread's first issue attempt at cycle zero.
 func (c *Complex) Start() {
-	for _, th := range c.threads {
-		if !th.done {
+	for i := range c.threads {
+		if th := &c.threads[i]; !th.done {
 			c.engine.ScheduleCall(0, c.hTryIssue, sim.EventData{Ptr: th})
 		}
 	}
@@ -211,9 +183,9 @@ func (c *Complex) checkDone(th *thread, now config.Cycles) {
 	if th.done || th.idx < len(th.recs) || th.outstanding > 0 {
 		return
 	}
-	if th.src != nil && !th.exhausted {
-		// The current chunk drained but the stream has more; the next
-		// tryIssue will refill.
+	if !th.exhausted {
+		// The current chunk drained but the stream may have more; the
+		// next tryIssue will refill.
 		return
 	}
 	th.done = true
@@ -236,8 +208,8 @@ func (c *Complex) FinishTime() config.Cycles { return c.finish }
 // Issued returns total references issued across threads.
 func (c *Complex) Issued() uint64 {
 	var n uint64
-	for _, th := range c.threads {
-		n += th.issued
+	for i := range c.threads {
+		n += c.threads[i].issued
 	}
 	return n
 }
@@ -245,8 +217,8 @@ func (c *Complex) Issued() uint64 {
 // Completed returns total references completed across threads.
 func (c *Complex) Completed() uint64 {
 	var n uint64
-	for _, th := range c.threads {
-		n += th.completed
+	for i := range c.threads {
+		n += c.threads[i].completed
 	}
 	return n
 }
@@ -255,8 +227,8 @@ func (c *Complex) Completed() uint64 {
 // and diagnostics hook).
 func (c *Complex) Outstanding() int {
 	n := 0
-	for _, th := range c.threads {
-		n += th.outstanding
+	for i := range c.threads {
+		n += c.threads[i].outstanding
 	}
 	return n
 }

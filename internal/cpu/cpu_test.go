@@ -18,6 +18,39 @@ func instantIssue(e *sim.Engine, latency config.Cycles) (IssueFunc, *[]uint64) {
 	}, &keys
 }
 
+// chunkStream yields its records in fixed-size chunks.
+type chunkStream struct {
+	recs []trace.Record
+	size int
+}
+
+func (c *chunkStream) NextChunk() ([]trace.Record, error) {
+	n := c.size
+	if n > len(c.recs) {
+		n = len(c.recs)
+	}
+	chunk := c.recs[:n]
+	c.recs = c.recs[n:]
+	return chunk, nil
+}
+
+// feed builds a complex over per-thread record slices served in chunks
+// of size records; nil slices are idle threads.
+func feed(t *testing.T, e *sim.Engine, cfg *config.Config, recs [][]trace.Record, size int, issue IssueFunc) *Complex {
+	t.Helper()
+	streams := make([]trace.Stream, len(recs))
+	for i, r := range recs {
+		if r != nil {
+			streams[i] = &chunkStream{recs: r, size: size}
+		}
+	}
+	c, err := NewStreams(e, cfg, streams, issue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func mkStream(tid int, n int, gap uint32) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
@@ -31,7 +64,7 @@ func TestSerialIssueWithGaps(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxOutstanding = 1
 	issue, keys := instantIssue(e, 10)
-	c := New(e, &cfg, [][]trace.Record{mkStream(0, 3, 5)}, issue)
+	c := feed(t, e, &cfg, [][]trace.Record{mkStream(0, 3, 5)}, 2, issue)
 	c.Start()
 	e.Run()
 	if !c.Done() {
@@ -63,7 +96,7 @@ func TestOutstandingLimitOverlapsMisses(t *testing.T) {
 		cfg := config.Default()
 		cfg.MaxOutstanding = max
 		issue, _ := instantIssue(e, 100)
-		c := New(e, &cfg, [][]trace.Record{mkStream(0, 12, 0)}, issue)
+		c := feed(t, e, &cfg, [][]trace.Record{mkStream(0, 12, 0)}, 5, issue)
 		c.Start()
 		e.Run()
 		return c.FinishTime()
@@ -87,7 +120,7 @@ func TestMaxOutstandingNeverExceeded(t *testing.T) {
 		at := e.Now() + 50
 		e.At(at, func() { done(at) })
 	}
-	c = New(e, &cfg, [][]trace.Record{mkStream(0, 40, 1)}, issue)
+	c = feed(t, e, &cfg, [][]trace.Record{mkStream(0, 40, 1)}, 40, issue)
 	c.Start()
 	e.Run()
 	if maxSeen > 3 {
@@ -104,7 +137,7 @@ func TestMultipleThreadsIndependent(t *testing.T) {
 	cfg.MaxOutstanding = 1
 	issue, _ := instantIssue(e, 10)
 	streams := [][]trace.Record{mkStream(0, 5, 0), mkStream(1, 5, 0), nil}
-	c := New(e, &cfg, streams, issue)
+	c := feed(t, e, &cfg, streams, 3, issue)
 	c.Start()
 	e.Run()
 	if !c.Done() {
@@ -123,7 +156,7 @@ func TestEmptyStreamsDoneImmediately(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := config.Default()
 	issue, _ := instantIssue(e, 1)
-	c := New(e, &cfg, [][]trace.Record{nil, nil}, issue)
+	c := feed(t, e, &cfg, [][]trace.Record{nil, {}}, 1, issue)
 	c.Start()
 	e.Run()
 	if !c.Done() || c.FinishTime() != 0 {
@@ -138,7 +171,7 @@ func TestNilIssuePanics(t *testing.T) {
 			t.Fatal("nil issue accepted")
 		}
 	}()
-	New(sim.NewEngine(), &cfg, nil, nil)
+	NewStreams(sim.NewEngine(), &cfg, nil, nil)
 }
 
 func TestL1FilterAbsorbsHits(t *testing.T) {

@@ -1,25 +1,30 @@
 // Package metrics is the simulator's observability layer: an optional
 // probe that turns one run's end-of-run aggregates into a per-interval
 // time series, plus a structured per-transaction event trace (JSONL or
-// Chrome trace_event, viewable in Perfetto).
+// Chrome trace_event, viewable in Perfetto). A Probe is an
+// observe.Observer: it is attached by passing it to the system's
+// constructor.
 //
-// The design contract is zero cost when disabled. A system without an
-// attached probe takes exactly one nil check per engine event and
-// allocates nothing; all per-window state lives in the probe, and the
-// system only supplies a sampler callback that copies its cumulative
-// counters into a Snapshot. The probe differences consecutive snapshots
-// at each window close, so the simulation's own hot paths carry no
-// extra arithmetic.
+// The design contract is zero cost when disabled. A system without
+// observers pays one length check per hook site and allocates nothing;
+// all per-window state lives in the probe, and the system only supplies
+// a sampler callback that copies its cumulative counters into a
+// Snapshot. The probe differences consecutive snapshots at each window
+// close, so the simulation's own hot paths carry no extra arithmetic.
 //
-// Sampling is driven by the engine's per-event tick, not by scheduled
-// sampler events: a probe therefore never changes the event sequence,
-// Results.EventsFired, or any simulated outcome. A window [start, end)
-// closes at the first event whose timestamp reaches end, and the
-// sampled state is exactly the state after all events strictly before
-// end — deterministic for a fixed workload, independent of wall clock.
+// Sampling is driven by the round coordinator's boundary tick, not by
+// scheduled sampler events: a probe therefore never changes the event
+// sequence, Results.EventsFired, or any simulated outcome. A window
+// [start, end) closes at the first round boundary that reaches end, and
+// the sampled state is exactly the state after all events strictly
+// before end — deterministic for a fixed workload, independent of wall
+// clock.
 package metrics
 
-import "cmpcache/internal/config"
+import (
+	"cmpcache/internal/config"
+	"cmpcache/internal/observe"
+)
 
 // DefaultInterval is the paper's retry-rate observation window: the
 // adaptive switch's operating point is 2,000 retries per 1M cycles, so
@@ -140,16 +145,29 @@ func (p *Probe) Interval() config.Cycles { return p.interval }
 // also receives one set of Perfetto counter events per closed window.
 func (p *Probe) SetTrace(tw *TraceWriter) { p.trace = tw }
 
-// Trace returns the attached trace writer, or nil.
-func (p *Probe) Trace() *TraceWriter { return p.trace }
-
 // Bind installs the system's sampler; the system calls this when the
 // probe attaches.
 func (p *Probe) Bind(sampler func(*Snapshot)) { p.sampler = sampler }
 
-// Tick is the engine's per-event time observer: it closes every window
-// whose end the simulation clock has reached. Idle stretches close as
-// zero-delta windows, so the series has no gaps.
+// Observe forwards demand combines, victims and write-back
+// dispositions to the attached trace writer, if any.
+func (p *Probe) Observe(e observe.Event) {
+	if p.trace == nil {
+		return
+	}
+	switch e.Kind {
+	case observe.DemandCombine:
+		p.trace.Demand(e.At, e.L2, e.Key, e.Txn.String(), e.Out.Source.String(), e.Out.L3Valid, e.Out.SharedElsewhere)
+	case observe.Victim:
+		p.trace.Victim(e.At, e.L2, e.Key, e.State.String(), e.Action.String(), e.InL3)
+	case observe.WBDisposition:
+		p.trace.WriteBack(e.At, e.L2, e.Key, e.WB.Kind.String(), e.Disp, e.WB.Snarfable)
+	}
+}
+
+// Tick closes every window whose end the simulation clock has
+// reached. Idle stretches close as zero-delta windows, so the series
+// has no gaps.
 func (p *Probe) Tick(now config.Cycles) {
 	for now >= p.nextClose {
 		p.close(p.nextClose)
@@ -157,7 +175,7 @@ func (p *Probe) Tick(now config.Cycles) {
 }
 
 // NextBoundary returns the end of the currently open window — the
-// earliest cycle at which a Tick would close a sample. The sharded
+// earliest cycle at which a Tick would close a sample. The round
 // coordinator caps each round's horizon strictly below it so every event
 // preceding the boundary has fired before the window closes, preserving
 // the sampling contract ("state after all events strictly before

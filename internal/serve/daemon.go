@@ -356,14 +356,12 @@ func (d *Daemon) Cancel(id string) (bool, bool) {
 	if !ok {
 		return false, false
 	}
-	cancelled := j.requestCancel("canceled by client")
-	if cancelled {
-		// A queued job completes synchronously inside requestCancel and
-		// no worker will count it; a running one is counted by the
-		// worker when it observes the cancellation.
-		if st, _ := j.snapshot(); st == JobCanceled {
-			d.met.canceled.Inc()
-		}
+	cancelled, completed := j.requestCancel("canceled by client")
+	if completed {
+		// A queued job completes inside requestCancel and no worker will
+		// count it; the worker counts a running one when it observes the
+		// cancellation.
+		d.met.canceled.Inc()
 	}
 	return cancelled, true
 }

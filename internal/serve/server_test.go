@@ -196,8 +196,18 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if st, _ := running[0].snapshot(); st != JobCanceled {
 		t.Errorf("running job status %s, want canceled", st)
 	}
-	if stats := d.Snapshot(); stats.Canceled != 2 {
-		t.Errorf("Canceled = %d, want 2", stats.Canceled)
+	// The worker counts the running job after its done channel closes:
+	// wait for the counter, then stop the workers and check that
+	// nothing counted either job twice.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Snapshot().Canceled < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Snapshot().Canceled; got != 2 {
+		t.Errorf("Canceled = %d, want 2", got)
 	}
 }
 

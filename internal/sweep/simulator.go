@@ -6,6 +6,7 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/system"
 	"cmpcache/internal/telemetry"
 	"cmpcache/internal/trace"
@@ -165,13 +166,10 @@ func (s *Simulator) Run(ctx context.Context, j Job) (*system.Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var sys *system.System
+	var src trace.Source
 	if j.TraceFile != "" {
-		src, err := s.source(ctx, j.TraceFile)
-		if err != nil {
-			return nil, err
-		}
-		if sys, err = system.NewStream(cfg, src); err != nil {
+		var err error
+		if src, err = s.source(ctx, j.TraceFile); err != nil {
 			return nil, err
 		}
 	} else {
@@ -179,15 +177,18 @@ func (s *Simulator) Run(ctx context.Context, j Job) (*system.Results, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sys, err = system.New(cfg, tr); err != nil {
-			return nil, err
-		}
+		src = trace.NewMemSource(tr)
 	}
+	var obs []observe.Observer
 	if s.MetricsInterval > 0 {
-		sys.Attach(metrics.NewProbe(metrics.Config{Interval: s.MetricsInterval}))
+		obs = append(obs, metrics.NewProbe(metrics.Config{Interval: s.MetricsInterval}))
 	}
 	if s.Latency != nil {
-		sys.AttachLatency(txlat.New(*s.Latency))
+		obs = append(obs, txlat.New(*s.Latency))
+	}
+	sys, err := system.NewStream(cfg, src, obs...)
+	if err != nil {
+		return nil, err
 	}
 	return sys.RunContext(ctx)
 }

@@ -23,12 +23,11 @@ func TestAuditorObservationOnly(t *testing.T) {
 
 	_, plain := run(t, cfg, tr)
 
-	s, err := New(cfg, tr)
+	a := audit.New(audit.Config{Differential: true, SweepEvery: 512})
+	s, err := New(cfg, tr, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := audit.New(audit.Config{Differential: true, SweepEvery: 512})
-	s.AttachAuditor(a)
 	audited := s.Run()
 	if !a.Ok() {
 		t.Fatalf("auditor on a healthy run: %s", a.Summary())
@@ -48,16 +47,14 @@ func TestAuditorObservationOnly(t *testing.T) {
 		t.Error("attaching the auditor perturbed the simulation")
 	}
 
-	// Probe and auditor share the engine's single tick slot; composing
-	// them must still perturb nothing but the Metrics series.
-	s2, err := New(cfg, tr)
+	// Composing the probe with the auditor must still perturb nothing
+	// but the Metrics series.
+	a2 := audit.New(audit.Config{Differential: true, SweepEvery: 512})
+	probe := metrics.NewProbe(metrics.Config{Interval: 500})
+	s2, err := New(cfg, tr, a2, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2 := audit.New(audit.Config{Differential: true, SweepEvery: 512})
-	s2.AttachAuditor(a2)
-	probe := metrics.NewProbe(metrics.Config{Interval: 500})
-	s2.Attach(probe)
 	both := s2.Run()
 	if !a2.Ok() {
 		t.Fatalf("auditor composed with probe: %s", a2.Summary())
@@ -85,12 +82,11 @@ func TestAuditorCatchesInjectedDirtyLoss(t *testing.T) {
 	cfg.L3QueueEntries = 1 // starve the L3 queue so dirty entries linger
 	tr := wbStormTrace(&cfg, 32)
 
-	s, err := New(cfg, tr)
+	a := audit.New(audit.Config{SweepEvery: 256})
+	s, err := New(cfg, tr, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := audit.New(audit.Config{SweepEvery: 256})
-	s.AttachAuditor(a)
 
 	var lostKey uint64
 	injected := false
@@ -378,12 +374,11 @@ func TestAuditorCleanOnWorkloads(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			cfg := config.Default().WithMechanism(mech)
-			s, err := New(cfg, tr)
+			a := audit.New(audit.Config{Differential: true, SweepEvery: 1024})
+			s, err := New(cfg, tr, a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := audit.New(audit.Config{Differential: true, SweepEvery: 1024})
-			s.AttachAuditor(a)
 			s.Run()
 			if !a.Ok() {
 				t.Errorf("%s/%s: %s", name, mech, a.Summary())

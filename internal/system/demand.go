@@ -3,6 +3,7 @@ package system
 import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
 )
 
@@ -34,8 +35,9 @@ func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind,
 	s.demandTxns++
 	slot := s.ring.ReserveAddress(now)
 	combineAt := slot + s.cfg.AddressPhase
-	if s.lat != nil {
-		s.lat.DemandStart(cache.ID(), key, kind, s.rswitch.ActiveNow(), now, combineAt)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.DemandStart, At: now, L2: cache.ID(), Key: key, Txn: kind,
+			SwitchOn: s.rswitch.ActiveNow(), CombineAt: combineAt})
 	}
 	s.engine.AtCall(combineAt, s.hCombineDemand,
 		sim.EventData{Ptr: cache, Key: key, Kind: int8(kind)})
@@ -93,10 +95,10 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 			// transaction cancels it before it can be resurrected stale.
 			wbResp, wbe, wbDropped := peer.SnoopDemandWB(key, kind)
 			resp = wbResp
-			if s.lat != nil && wbDropped && !wbe.InFlight {
+			if wbDropped && !wbe.InFlight && len(s.obs) > 0 {
 				// The peer's queued write back died here; an in-flight
 				// one closes at its own combine as cancelled.
-				s.lat.WBCancelled(peer.ID(), key, now)
+				s.emit(observe.Event{Kind: observe.WBDropped, At: now, L2: peer.ID(), Key: key})
 			}
 		}
 		peer.ReservePort(key, now) // snoop consumes peer tag bandwidth
@@ -110,11 +112,8 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 	}
 
 	out := s.collector.Combine(kind, responses)
-	if s.tracer != nil {
-		s.tracer.Demand(now, cache.ID(), key, kind.String(), out.Source.String(), out.L3Valid, out.SharedElsewhere)
-	}
-	if s.lat != nil && kind != coherence.Upgrade {
-		s.lat.DemandCombine(cache.ID(), key, out.Source, now)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.DemandCombine, At: now, L2: cache.ID(), Key: key, Txn: kind, Out: out})
 	}
 	s.policy.ObserveDemandOutcome(cache.ID(), key, kind, out)
 
@@ -136,8 +135,8 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, update, sharers bool) {
 	if !cache.State(key).Valid() {
 		s.upgradeRestarts++
-		if s.auditor != nil {
-			s.auditor.OnUpgrade(cache.ID(), key, true)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.Upgrade, At: now, L2: cache.ID(), Key: key, Restarted: true})
 		}
 		// Keep the MSHR (with its waiters) but change the kind by
 		// re-allocating after draining.
@@ -166,14 +165,10 @@ func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, up
 			s.updatePushes++
 			s.ring.ReserveData(now)
 		}
-		if s.auditor != nil {
-			s.auditor.OnUpdate(cache.ID(), key, st)
-		}
-	} else if s.auditor != nil {
-		s.auditor.OnUpgrade(cache.ID(), key, false)
 	}
-	if s.lat != nil {
-		s.lat.DemandComplete(cache.ID(), key, now)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.Upgrade, At: now, L2: cache.ID(), Key: key, State: st, Update: update})
+		s.emit(observe.Event{Kind: observe.DemandComplete, At: now, L2: cache.ID(), Key: key})
 	}
 	cache.SetState(key, st)
 	loads, stores := cache.TakeWaiters(key)
@@ -212,8 +207,8 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 	if evicted {
 		s.handleVictimGlobal(cache, vKey, vState, now)
 	}
-	if s.auditor != nil {
-		s.auditor.OnFill(cache.ID(), key, kind, st, out)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.Fill, At: now, L2: cache.ID(), Key: key, Txn: kind, State: st, Out: out})
 	}
 
 	// Data movement: the source access runs first; the data ring is
@@ -250,8 +245,8 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 // scheduled onto the requester's shard wheel.
 func (s *System) fillDataReady(d sim.EventData) {
 	cache := d.Ptr.(l2Handle)
-	if s.lat != nil {
-		s.lat.DemandSourceReady(cache.ID(), d.Key, s.engine.Now())
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.DemandSourceReady, At: s.engine.Now(), L2: cache.ID(), Key: d.Key})
 	}
 	dStart := s.ring.ReserveData(s.engine.Now())
 	s.shards[cache.ID()].engine.AtCall(dStart+s.cfg.DataRingOccupancy, s.hCompleteFill, d)
@@ -259,8 +254,9 @@ func (s *System) fillDataReady(d sim.EventData) {
 
 // handleVictimGlobal routes an evicted line through the Section 2
 // write-back policy from global context (fill installs and snarf
-// displacements, which commit at bus events): the observation hooks run
-// directly and a queued entry pumps the write-back machinery in place.
+// displacements, which commit at bus events): the observers see the
+// victim directly and a queued entry pumps the write-back machinery in
+// place.
 // Shard-context evictions go through (*shard).handleVictim instead.
 func (s *System) handleVictimGlobal(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
 	// Active (mutating) advances the retry-switch window; it runs only
@@ -269,20 +265,11 @@ func (s *System) handleVictimGlobal(cache l2Handle, vKey uint64, vState coherenc
 	switchActive := s.policy.GatedBySwitch() && s.rswitch.Active(now)
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
 	action := cache.ProcessVictim(vKey, vState, switchActive, inL3)
-	if s.tracer != nil {
-		s.tracer.Victim(now, cache.ID(), vKey, vState.String(), action.String(), inL3)
-	}
-	if s.auditor != nil {
-		s.auditor.OnVictim(cache.ID(), vKey, vState, action == l2VictimQueued)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.Victim, At: now, L2: cache.ID(), Key: vKey, State: vState,
+			Action: action, InL3: inL3, SwitchOn: s.rswitch.ActiveNow()})
 	}
 	if action == l2VictimQueued {
-		if s.lat != nil {
-			wbKind := coherence.CleanWB
-			if vState.Dirty() {
-				wbKind = coherence.DirtyWB
-			}
-			s.lat.WBQueued(cache.ID(), vKey, wbKind, s.rswitch.ActiveNow(), now)
-		}
 		s.reuse.recordAttempt(vKey)
 		s.pumpWB(cache.ID(), now)
 	}

@@ -8,6 +8,7 @@ import (
 	"cmpcache/internal/audit"
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/txlat"
 	"cmpcache/internal/workload"
 )
@@ -43,18 +44,17 @@ func TestObservationOnlySubsets(t *testing.T) {
 		{name: "all-windowed", probe: true, aud: true, lat: true, windowed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var a *audit.Auditor
-			var c *txlat.Collector
+			var (
+				obs []observe.Observer
+				a   *audit.Auditor
+				c   *txlat.Collector
+			)
 			if tc.probe {
-				s.Attach(metrics.NewProbe(metrics.Config{Interval: 500}))
+				obs = append(obs, metrics.NewProbe(metrics.Config{Interval: 500}))
 			}
 			if tc.aud {
 				a = audit.New(audit.Config{Differential: true, SweepEvery: 512})
-				s.AttachAuditor(a)
+				obs = append(obs, a)
 			}
 			if tc.lat {
 				lcfg := txlat.Config{}
@@ -62,7 +62,11 @@ func TestObservationOnlySubsets(t *testing.T) {
 					lcfg.Interval = 500
 				}
 				c = txlat.New(lcfg)
-				s.AttachLatency(c)
+				obs = append(obs, c)
+			}
+			s, err := New(cfg, tr, obs...)
+			if err != nil {
+				t.Fatal(err)
 			}
 			res := s.Run()
 			if a != nil && !a.Ok() {
@@ -116,12 +120,11 @@ func TestLatencyAttributionOnWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.Default().WithMechanism(config.Snarf)
-	s, err := New(cfg, tr)
+	c := txlat.New(txlat.Config{TopK: 8})
+	s, err := New(cfg, tr, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := txlat.New(txlat.Config{TopK: 8})
-	s.AttachLatency(c)
 	res := s.Run()
 	rep := res.Latency
 	if rep == nil {

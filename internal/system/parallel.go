@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"cmpcache/internal/config"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
 )
 
@@ -24,10 +25,10 @@ import (
 //     exceeds the earliest cycle a freshly posted bus request could
 //     combine (min over shards of next-event time, floored by the
 //     address ring's free cycle, plus the address phase).
-//  3. Barrier — replay the shards' observation logs into the
-//     attachments in canonical (time, shard) order, then execute the
-//     deferred bus posts in canonical (time, shard) order, arbitrating
-//     each at its own recorded cycle.
+//  3. Barrier — replay the shards' event logs to the observers in
+//     canonical (time, shard) order, then execute the deferred bus
+//     posts in canonical (time, shard) order, arbitrating each at its
+//     own recorded cycle.
 //  4. Serial phase — fire global events in time order while they
 //     precede every pending shard event and the next window boundary.
 //     Before each, all shard clocks advance to the event's cycle so
@@ -44,8 +45,8 @@ import (
 // constraint limited each shard-phase horizon.
 //
 // The counters are pure functions of simulated time, but they are NOT
-// invariant under observation attachments — the metrics probe and
-// windowed latency collector schedule their own wake-ups, adding
+// invariant under observers — the window boundaries of the metrics
+// probe and a windowed latency collector cap round horizons, adding
 // rounds — so the whole record stays out of Results JSON
 // (Results.Sharding is json:"-", preserving the observation-only
 // result-byte contract) and is read in process by the benchmarks.
@@ -102,7 +103,6 @@ func (s *System) runRounds(ctx context.Context) error {
 		sh.threads.Start()
 	}
 
-	windowed := s.lat != nil && s.lat.Windowed()
 	budget := 0
 	for {
 		minLocal := s.minShardTime()
@@ -118,22 +118,14 @@ func (s *System) runRounds(ctx context.Context) error {
 
 		// (1) Boundary tick: windows ending at or before the next event
 		// close now, seeing exactly the state after all earlier events.
-		if s.probe != nil {
-			s.probe.Tick(tNext)
-		}
-		if windowed {
-			s.lat.Tick(tNext)
-		}
-		s.rswitch.AdvanceTo(tNext)
 		boundary := sim.Forever
-		if s.probe != nil {
-			boundary = s.probe.NextBoundary()
-		}
-		if windowed {
-			if b := s.lat.NextBoundary(); b < boundary {
+		for _, o := range s.obs {
+			o.Tick(tNext)
+			if b := o.NextBoundary(); b < boundary {
 				boundary = b
 			}
 		}
+		s.rswitch.AdvanceTo(tNext)
 
 		// (2) Horizon: the largest cycle shards may run to freely.
 		h := tg
@@ -178,8 +170,8 @@ func (s *System) runRounds(ctx context.Context) error {
 			if g >= boundary || g >= s.minShardTime() {
 				break
 			}
-			if s.auditor != nil {
-				s.auditor.AdvanceEvents(g, 1)
+			if len(s.obs) > 0 {
+				s.emit(observe.Event{Kind: observe.Fired, At: g, N: 1})
 			}
 			for _, sh := range s.shards {
 				sh.engine.AdvanceTo(g)
@@ -209,32 +201,32 @@ func (s *System) minShardTime() config.Cycles {
 	return m
 }
 
-// drainBarrier is the rendezvous after a shard phase: observation
-// logs replay in (time, shard) order, the auditor's event clock catches
-// up to the horizon, and the deferred bus posts arbitrate in (time,
-// shard) order at their recorded cycles.
+// drainBarrier is the rendezvous after a shard phase: the shards'
+// event logs replay in (time, shard) order, the observers' event count
+// catches up to the horizon, and the deferred bus posts arbitrate in
+// (time, shard) order at their recorded cycles.
 func (s *System) drainBarrier(h config.Cycles) {
-	var fired uint64
 	for {
 		var best *shard
 		bestAt := sim.Forever
 		for _, sh := range s.shards {
-			if sh.obsNext < len(sh.obs) && sh.obs[sh.obsNext].at < bestAt {
-				best, bestAt = sh, sh.obs[sh.obsNext].at
+			if sh.logNext < len(sh.log) && sh.log[sh.logNext].At < bestAt {
+				best, bestAt = sh, sh.log[sh.logNext].At
 			}
 		}
 		if best == nil {
 			break
 		}
-		s.replayObs(best, &best.obs[best.obsNext])
-		best.obsNext++
+		s.replay(&best.log[best.logNext])
+		best.logNext++
 	}
-	if s.auditor != nil {
+	if len(s.obs) > 0 {
+		var fired uint64
 		for _, sh := range s.shards {
 			fired += sh.engine.Fired()
 		}
-		s.auditor.AdvanceEvents(h, fired-s.auditedFired)
-		s.auditedFired = fired
+		s.emit(observe.Event{Kind: observe.Fired, At: h, N: fired - s.obsFired})
+		s.obsFired = fired
 	}
 	for {
 		var best *shard
@@ -251,7 +243,7 @@ func (s *System) drainBarrier(h config.Cycles) {
 		best.postNext++
 	}
 	for _, sh := range s.shards {
-		sh.obs, sh.obsNext = sh.obs[:0], 0
+		sh.log, sh.logNext = sh.log[:0], 0
 		sh.posts, sh.postNext = sh.posts[:0], 0
 	}
 }

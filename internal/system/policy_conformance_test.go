@@ -61,12 +61,11 @@ func TestPolicyConformanceAuditSoak(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := config.Default().WithMechanism(m)
-				s, err := New(cfg, tr)
+				aud := audit.New(audit.Config{Differential: true, SweepEvery: 512})
+				s, err := New(cfg, tr, aud)
 				if err != nil {
 					t.Fatal(err)
 				}
-				aud := audit.New(audit.Config{Differential: true, SweepEvery: 512})
-				s.AttachAuditor(aud)
 				s.Run()
 				if !aud.Ok() {
 					t.Fatalf("seed %#x: audit violations:\n%s", seed, aud.Summary())

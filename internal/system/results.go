@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cmpcache/internal/audit"
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
 	"cmpcache/internal/metrics"
@@ -241,11 +242,15 @@ func (s *System) results() *Results {
 			r.ResidualWBInFlight++
 		}
 	}
-	if s.probe != nil {
-		r.Metrics = s.probe.Finish(elapsed)
-	}
-	if s.lat != nil {
-		r.Latency = s.lat.Finish(elapsed)
+	for _, o := range s.obs {
+		switch o := o.(type) {
+		case *metrics.Probe:
+			r.Metrics = o.Finish(elapsed)
+		case *txlat.Collector:
+			r.Latency = o.Finish(elapsed)
+		case *audit.Auditor:
+			o.Drain(s.lastTime())
+		}
 	}
 	r.CleanWBFirstTime, r.CleanWBLostL3 = s.cleanWBFirst, s.cleanWBLost
 	r.L3QueueAcquired, r.L3QueueRejected, r.L3QueuePeak = s.l3.QueueStats()

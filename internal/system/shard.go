@@ -4,7 +4,7 @@ import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/cpu"
-	"cmpcache/internal/l2"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
 	"cmpcache/internal/stats"
 	"cmpcache/internal/trace"
@@ -17,11 +17,11 @@ import (
 // queue), its threads, its access pool and its fill-latency histogram.
 //
 // Anything global (the rings, the L3, memory, system counters, the
-// observability attachments and the shared reuse tracker) is reached
-// only through two deterministic channels drained at the round barrier:
+// observers and the shared reuse tracker) is reached only through two
+// deterministic channels drained at the round barrier:
 //
-//   - obs: an append-only log of observation hook calls (auditor,
-//     latency collector, tracer, reuse tracker), replayed in canonical
+//   - log: an append-only log of observer events (plus the queued
+//     victims the reuse tracker scores), replayed in canonical
 //     (time, shard) order;
 //   - posts: bus requests (demand starts and write-back pumps), which
 //     arbitrate for the address ring in canonical (time, shard) order.
@@ -45,40 +45,14 @@ type shard struct {
 
 	hResolve sim.Handler
 
-	obs   []obsRec
+	// log is appended in shard execution order, so it is nondecreasing
+	// in At; the barrier merges logs by (At, shard index, append order).
+	log   []observe.Event
 	posts []busPost
 
-	// obsNext / postNext are the merge cursors used by the barrier.
-	obsNext  int
+	// logNext / postNext are the merge cursors used by the barrier.
+	logNext  int
 	postNext int
-}
-
-// obsKind discriminates replayed observation records.
-type obsKind int8
-
-const (
-	obsStoreHit obsKind = iota
-	obsWBReinstall
-	obsWBCancelled
-	obsDemandIssued
-	obsDemandComplete
-	obsVictim
-)
-
-// obsRec is one shard-context observation hook call, deferred to the
-// round barrier. Records are appended in shard execution order, so each
-// shard's log is nondecreasing in at; the barrier merges logs by
-// (at, shard index, append order).
-type obsRec struct {
-	kind     obsKind
-	at       config.Cycles
-	key      uint64
-	issued   config.Cycles   // obsDemandIssued: the access's issue time
-	wbe      l2.WBEntry      // obsWBReinstall
-	vState   coherence.State // obsVictim
-	vAction  l2.VictimAction // obsVictim
-	inL3     bool            // obsVictim
-	switchOn bool            // obsVictim: retry-switch state at the hook
 }
 
 // postKind discriminates deferred bus requests.
@@ -100,10 +74,11 @@ type busPost struct {
 	txn  coherence.TxnKind
 }
 
-// newShardCore builds the shard shell common to both feeds: the access
-// pool, the resolve handler and the engine. The caller attaches the
-// thread complex and calls size().
-func newShardCore(s *System, idx int) *shard {
+// newShard wires shard idx over its threads' chunked streams (nil
+// entries are idle threads) and pre-sizes its event wheel and access
+// pool from the shard's trace record count. Construction fails if any
+// stream's first chunk cannot be decoded.
+func newShard(s *System, idx int, streams []trace.Stream, traceRecs int) (*shard, error) {
 	sh := &shard{sys: s, idx: idx, cache: s.l2s[idx], engine: sim.NewEngine()}
 	sh.accessPool = sim.NewPool(func() *pendingAccess {
 		p := &pendingAccess{}
@@ -111,20 +86,15 @@ func newShardCore(s *System, idx int) *shard {
 		return p
 	})
 	sh.hResolve = func(d sim.EventData) { sh.resolve(d.Ptr.(*pendingAccess)) }
-	return sh
-}
-
-// issueFn is the shard's cpu issue path, shared by both constructors.
-func (sh *shard) issueFn() cpu.IssueFunc {
-	return func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
-		sh.access(op, key, done)
+	threads, err := cpu.NewStreams(sh.engine, &s.cfg, streams,
+		func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
+			sh.access(op, key, done)
+		})
+	if err != nil {
+		return nil, err
 	}
-}
+	sh.threads = threads
 
-// size pre-sizes the shard's event wheel and access pool from the
-// shard's trace record count.
-func (sh *shard) size(traceRecs int) {
-	s := sh.sys
 	perShard := s.cfg.ThreadsPerL2() * s.cfg.MaxOutstanding
 	events := perShard*8 + 64
 	if limit := 2*traceRecs + 64; events > limit {
@@ -136,80 +106,15 @@ func (sh *shard) size(traceRecs int) {
 		inflight = traceRecs
 	}
 	sh.accessPool.Prime(inflight)
-}
-
-// newShard wires shard idx over streams (this shard's thread
-// sub-slice).
-func newShard(s *System, idx int, streams [][]trace.Record, traceRecs int) *shard {
-	sh := newShardCore(s, idx)
-	sh.threads = cpu.New(sh.engine, &s.cfg, streams, sh.issueFn())
-	sh.size(traceRecs)
-	return sh
-}
-
-// newShardStream wires shard idx over chunked per-thread streams
-// (the bounded-memory replay path). Construction fails if any stream's
-// first chunk cannot be decoded.
-func newShardStream(s *System, idx int, streams []trace.Stream, traceRecs int) (*shard, error) {
-	sh := newShardCore(s, idx)
-	threads, err := cpu.NewStreams(sh.engine, &s.cfg, streams, sh.issueFn())
-	if err != nil {
-		return nil, err
-	}
-	sh.threads = threads
-	sh.size(traceRecs)
 	return sh, nil
 }
 
-// --- observation log appenders (shard context only) ---
-
-func (sh *shard) logStoreHit(at config.Cycles, key uint64) {
-	if sh.sys.auditor == nil {
-		return
-	}
-	sh.obs = append(sh.obs, obsRec{kind: obsStoreHit, at: at, key: key})
-}
-
-func (sh *shard) logWBReinstall(at config.Cycles, e l2.WBEntry) {
-	if sh.sys.auditor == nil {
-		return
-	}
-	sh.obs = append(sh.obs, obsRec{kind: obsWBReinstall, at: at, key: e.Key, wbe: e})
-}
-
-func (sh *shard) logWBCancelled(at config.Cycles, key uint64) {
-	if sh.sys.lat == nil {
-		return
-	}
-	sh.obs = append(sh.obs, obsRec{kind: obsWBCancelled, at: at, key: key})
-}
-
-func (sh *shard) logDemandIssued(at config.Cycles, key uint64, issued config.Cycles) {
-	if sh.sys.lat == nil {
-		return
-	}
-	sh.obs = append(sh.obs, obsRec{kind: obsDemandIssued, at: at, key: key, issued: issued})
-}
-
-func (sh *shard) logDemandComplete(at config.Cycles, key uint64) {
-	if sh.sys.lat == nil {
-		return
-	}
-	sh.obs = append(sh.obs, obsRec{kind: obsDemandComplete, at: at, key: key})
-}
-
-// logVictim is appended unconditionally when the victim queued a write
-// back (the reuse tracker scores every attempt, attachments or not);
-// non-queued victims log only when an observer wants them.
-func (sh *shard) logVictim(at config.Cycles, key uint64, st coherence.State, action l2.VictimAction, inL3, switchOn bool) {
-	s := sh.sys
-	if action != l2VictimQueued && s.tracer == nil && s.auditor == nil {
-		return
-	}
-	sh.obs = append(sh.obs, obsRec{
-		kind: obsVictim, at: at, key: key,
-		vState: st, vAction: action, inL3: inL3, switchOn: switchOn,
-	})
+// logEvent defers e, stamped with this shard's L2, to the round
+// barrier. Callers log only when observers are attached, except for
+// the queued victims the reuse tracker scores.
+func (sh *shard) logEvent(e observe.Event) {
+	e.L2 = sh.idx
+	sh.log = append(sh.log, e)
 }
 
 // postDemandTxn defers a demand transaction's address-ring arbitration
@@ -269,8 +174,8 @@ func (sh *shard) resolve(p *pendingAccess) {
 	cache, key, isStore := sh.cache, p.key, p.isStore
 	switch cache.Probe(key, isStore, p.count) {
 	case probeHit:
-		if isStore {
-			sh.logStoreHit(now, key)
+		if isStore && len(s.obs) > 0 {
+			sh.logEvent(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
 		}
 		sh.finishAccess(p, now)
 
@@ -280,7 +185,9 @@ func (sh *shard) resolve(p *pendingAccess) {
 		// like the completeFill path — rather than as a Probe side
 		// effect invisible to the hooks.
 		cache.SetState(key, coherence.Modified)
-		sh.logStoreHit(now, key)
+		if len(s.obs) > 0 {
+			sh.logEvent(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
+		}
 		sh.finishAccess(p, now)
 
 	case probeWBBufferHit:
@@ -294,11 +201,10 @@ func (sh *shard) resolve(p *pendingAccess) {
 			sh.resolve(p)
 			return
 		}
-		sh.logWBReinstall(now, e)
-		if !e.InFlight {
-			// Queued entries close here; an in-flight one closes at its
+		if len(s.obs) > 0 {
+			// A queued entry closes here; an in-flight one closes at its
 			// bus combine (the cancelled disposition).
-			sh.logWBCancelled(now, key)
+			sh.logEvent(observe.Event{Kind: observe.WBReinstall, At: now, Key: key, WB: e})
 		}
 		vKey, vState, evicted := cache.Reinstall(e)
 		if evicted {
@@ -320,7 +226,9 @@ func (sh *shard) resolve(p *pendingAccess) {
 		}
 		cache.AllocMSHR(key, coherence.Upgrade)
 		cache.AttachMSHR(key, true, p.completeFn)
-		sh.logDemandIssued(now, key, p.issued)
+		if len(s.obs) > 0 {
+			sh.logEvent(observe.Event{Kind: observe.DemandIssued, At: now, Key: key, Issued: p.issued})
+		}
 		sh.postDemandTxn(now, key, coherence.Upgrade)
 
 	case probeMiss:
@@ -343,7 +251,9 @@ func (sh *shard) resolve(p *pendingAccess) {
 		cache.CountMiss(key)
 		cache.AllocMSHR(key, kind)
 		cache.AttachMSHR(key, isStore, p.completeFn)
-		sh.logDemandIssued(now, key, p.issued)
+		if len(s.obs) > 0 {
+			sh.logEvent(observe.Event{Kind: observe.DemandIssued, At: now, Key: key, Issued: p.issued})
+		}
 		sh.postDemandTxn(now, key, kind)
 	}
 }
@@ -356,9 +266,11 @@ func (sh *shard) resolve(p *pendingAccess) {
 // coherence order). Restarting in that case would let two stable
 // storers invalidate each other's in-flight fills forever.
 func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
-	cache := sh.cache
+	cache, obs := sh.cache, len(sh.sys.obs) > 0
 	at := sh.engine.Now()
-	sh.logDemandComplete(at, key)
+	if obs {
+		sh.logEvent(observe.Event{Kind: observe.DemandComplete, At: at, Key: key})
+	}
 	loads, stores := cache.TakeWaiters(key)
 	for _, w := range loads {
 		w(at)
@@ -381,7 +293,9 @@ func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 		}
 	case coherence.Exclusive:
 		cache.SetState(key, coherence.Modified)
-		sh.logStoreHit(at, key)
+		if obs {
+			sh.logEvent(observe.Event{Kind: observe.StoreHit, At: at, Key: key})
+		}
 		for _, w := range stores {
 			w(at)
 		}
@@ -406,8 +320,8 @@ func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 // handleVictim is the shard-context half of the Section 2 write-back
 // policy: the victim is classified against the shard's own L2 (and the
 // frozen retry-switch and L3-membership oracles, both read-only between
-// rounds), the observation hooks are logged for barrier replay, and a
-// queued entry posts a pump wake. The global-context half lives in
+// rounds), the victim is logged for barrier replay, and a queued entry
+// posts a pump wake. The global-context half lives in
 // demand.go (handleVictimGlobal).
 func (sh *shard) handleVictim(vKey uint64, vState coherence.State, now config.Cycles) {
 	s := sh.sys
@@ -416,59 +330,22 @@ func (sh *shard) handleVictim(vKey uint64, vState coherence.State, now config.Cy
 	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
 	action := sh.cache.ProcessVictim(vKey, vState, switchActive, inL3)
-	sh.logVictim(now, vKey, vState, action, inL3, s.rswitch.ActiveNow())
+	if action == l2VictimQueued || len(s.obs) > 0 {
+		sh.logEvent(observe.Event{Kind: observe.Victim, At: now, Key: vKey, State: vState,
+			Action: action, InL3: inL3, SwitchOn: s.rswitch.ActiveNow()})
+	}
 	if action == l2VictimQueued {
 		sh.postPumpWB(now)
 	}
 }
 
-// replayObs applies one observation record to the attachments in
-// canonical order at the round barrier. The auditor's clock is restamped
-// per record so violations carry the hook's own cycle.
-func (s *System) replayObs(sh *shard, rec *obsRec) {
-	idx := sh.idx
-	switch rec.kind {
-	case obsStoreHit:
-		if s.auditor != nil {
-			s.auditor.AdvanceEvents(rec.at, 0)
-			s.auditor.OnStoreHit(idx, rec.key)
-		}
-	case obsWBReinstall:
-		if s.auditor != nil {
-			s.auditor.AdvanceEvents(rec.at, 0)
-			s.auditor.OnWBReinstall(idx, rec.wbe)
-		}
-	case obsWBCancelled:
-		if s.lat != nil {
-			s.lat.WBCancelled(idx, rec.key, rec.at)
-		}
-	case obsDemandIssued:
-		if s.lat != nil {
-			s.lat.DemandIssued(idx, rec.key, rec.issued, rec.at)
-		}
-	case obsDemandComplete:
-		if s.lat != nil {
-			s.lat.DemandComplete(idx, rec.key, rec.at)
-		}
-	case obsVictim:
-		queued := rec.vAction == l2VictimQueued
-		if s.tracer != nil {
-			s.tracer.Victim(rec.at, idx, rec.key, rec.vState.String(), rec.vAction.String(), rec.inL3)
-		}
-		if s.auditor != nil {
-			s.auditor.AdvanceEvents(rec.at, 0)
-			s.auditor.OnVictim(idx, rec.key, rec.vState, queued)
-		}
-		if queued {
-			if s.lat != nil {
-				wbKind := coherence.CleanWB
-				if rec.vState.Dirty() {
-					wbKind = coherence.DirtyWB
-				}
-				s.lat.WBQueued(idx, rec.key, wbKind, rec.switchOn, rec.at)
-			}
-			s.reuse.recordAttempt(rec.key)
-		}
+// replay hands one logged event to the observers at the round
+// barrier, in canonical order; a queued victim also scores its write
+// back attempt for the reuse tracker.
+func (s *System) replay(e *observe.Event) {
+	s.emit(*e)
+	if e.Kind == observe.Victim && e.Action == l2VictimQueued {
+		s.reuse.recordAttempt(e.Key)
 	}
 }
 

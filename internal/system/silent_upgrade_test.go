@@ -36,12 +36,11 @@ func TestSilentStoreUpgradeNoBusTraffic(t *testing.T) {
 		trace.Record{Thread: 0, Op: trace.Load, Addr: line},
 		trace.Record{Thread: 0, Op: trace.Store, Addr: line, Gap: 1000},
 	)
-	s, err := New(cfg, tr)
+	aud := audit.New(audit.Config{Differential: true, SweepEvery: 1})
+	s, err := New(cfg, tr, aud)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aud := audit.New(audit.Config{Differential: true, SweepEvery: 1})
-	s.AttachAuditor(aud)
 	r := s.Run()
 
 	key := line / uint64(cfg.LineBytes)

@@ -70,33 +70,7 @@ func TestStreamMatchesMemory(t *testing.T) {
 	}
 }
 
-// TestStreamMemSourceMatchesMemory pins the other Source implementation:
-// the in-memory adapter used when cmpsim replays flat traces.
-func TestStreamMemSourceMatchesMemory(t *testing.T) {
-	p, err := workload.ByName("cpw2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RefsPerThread = 300
-	tr, err := p.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.Default().WithMechanism(config.WBHT)
-	mem, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := NewStream(cfg, trace.NewMemSource(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(marshalResults(t, mem)) != string(marshalResults(t, str)) {
-		t.Fatal("MemSource streaming run diverged from in-memory run")
-	}
-}
-
-// TestNewStreamValidation covers the source-shape errors.
+// TestNewStreamValidation covers the source-shape and trace errors.
 func TestNewStreamValidation(t *testing.T) {
 	cfg := config.Default()
 	if _, err := NewStream(cfg, trace.NewMemSource(&trace.Trace{Name: "none", Threads: 0})); err == nil {
@@ -108,5 +82,15 @@ func TestNewStreamValidation(t *testing.T) {
 	}
 	if _, err := NewStream(cfg, trace.NewMemSource(over)); err == nil {
 		t.Fatal("source with more threads than the machine accepted")
+	}
+	// New validates the trace before splitting it per thread, so a
+	// record naming a thread the trace does not declare is an error,
+	// not an index panic.
+	stray := &trace.Trace{Name: "stray", Threads: 2, Records: []trace.Record{
+		{Thread: 0, Op: trace.Load, Addr: 0x100},
+		{Thread: 5, Op: trace.Load, Addr: 0x200},
+	}}
+	if _, err := New(cfg, stray); err == nil {
+		t.Fatal("record with an out-of-range thread accepted")
 	}
 }

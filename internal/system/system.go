@@ -19,24 +19,27 @@
 // global wheel that a deterministic round coordinator interleaves with
 // the shards (see parallel.go and DESIGN.md §15). Every phase runs
 // inline on the caller's goroutine.
+//
+// NewStream is the only constructor (New wraps an in-memory trace as a
+// source). Observers (internal/observe) attach there and receive every
+// transaction-lifecycle event; without them each hook site costs one
+// length check.
 package system
 
 import (
 	"context"
 	"fmt"
 
-	"cmpcache/internal/audit"
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/core"
 	"cmpcache/internal/l2"
 	"cmpcache/internal/l3"
 	"cmpcache/internal/mem"
-	"cmpcache/internal/metrics"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/ring"
 	"cmpcache/internal/sim"
 	"cmpcache/internal/trace"
-	"cmpcache/internal/txlat"
 	"cmpcache/internal/wbpolicy"
 )
 
@@ -89,22 +92,11 @@ type System struct {
 	cleanWBFirst uint64
 	cleanWBLost  uint64
 
-	// probe, when attached, samples the interval metrics series; tracer
-	// is its per-transaction event trace (nil unless tracing). Both are
-	// nil in normal runs — the hot paths pay one nil check each.
-	probe  *metrics.Probe
-	tracer *metrics.TraceWriter
-
-	// auditor, when attached, is the shadow invariant checker (nil in
-	// normal runs — hook sites pay one nil check each). auditedFired
-	// tracks how many shard events have been credited to its sweep
-	// cadence.
-	auditor      *audit.Auditor
-	auditedFired uint64
-
-	// lat, when attached, is the per-transaction latency-attribution
-	// collector (nil in normal runs — hook sites pay one nil check each).
-	lat *txlat.Collector
+	// obs are the attached observers (nil in normal runs — hook sites
+	// pay one length check each). obsFired counts the shard events
+	// already credited to their event-count cadence.
+	obs      []observe.Observer
+	obsFired uint64
 
 	// System-level counters (component-level ones live in the
 	// components).
@@ -127,7 +119,7 @@ type System struct {
 }
 
 // newCore builds everything but the thread feed: components, policy,
-// and the bound event handlers. New and NewStream attach the shards.
+// and the bound event handlers. NewStream attaches the shards.
 func newCore(cfg config.Config) *System {
 	s := &System{
 		cfg:       cfg,
@@ -164,53 +156,24 @@ func newCore(cfg config.Config) *System {
 	return s
 }
 
-// New validates cfg, builds all components and loads tr's per-thread
-// streams. Run() executes the workload to completion.
-func New(cfg config.Config, tr *trace.Trace) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New builds the system over an in-memory trace: it validates tr and
+// runs NewStream over trace.NewMemSource(tr), whose threads each yield
+// their whole record slice as one chunk.
+func New(cfg config.Config, tr *trace.Trace, obs ...observe.Observer) (*System, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if tr.Threads > cfg.Threads() {
-		return nil, fmt.Errorf("system: trace has %d threads, chip has %d", tr.Threads, cfg.Threads())
-	}
-	s := newCore(cfg)
-
-	streams := tr.PerThread()
-	// Pad to the chip's thread count so thread->L2 mapping stays fixed.
-	for len(streams) < cfg.Threads() {
-		streams = append(streams, nil)
-	}
-	tpl := cfg.ThreadsPerL2()
-	for i := 0; i < cfg.NumL2(); i++ {
-		sub := streams[i*tpl : (i+1)*tpl]
-		recs := 0
-		for _, st := range sub {
-			recs += len(st)
-		}
-		s.shards = append(s.shards, newShard(s, i, sub, recs))
-	}
-
-	// Pre-size the global event queue from the workload: its high-water
-	// mark tracks in-flight bus transactions, bounded by what the trace
-	// can ever put in flight at once.
-	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
-	if limit := 2*len(tr.Records) + 64; events > limit {
-		events = limit
-	}
-	s.engine.Grow(events)
-	return s, nil
+	return NewStream(cfg, trace.NewMemSource(tr), obs...)
 }
 
-// NewStream is New over a streaming trace source: the thread feeds pull
-// chunked per-thread iterators (trace.Source.Stream) instead of
-// materialized record slices, so replay memory is bounded by the
-// source's chunk size rather than the trace length. A completed run is
-// bit-identical to New over the equivalent in-memory trace — the feed
-// only changes where records are buffered, never when they issue.
-func NewStream(cfg config.Config, src trace.Source) (*System, error) {
+// NewStream validates cfg, builds all components over src and attaches
+// obs. The thread feeds pull chunked per-thread iterators
+// (trace.Source.Stream), so replay memory is bounded by the source's
+// chunk size rather than the trace length; the feed only changes where
+// records are buffered, never when they issue. Run() executes the
+// workload to completion. Observers are observation-only: attaching
+// any set of them leaves the simulation bit-identical.
+func NewStream(cfg config.Config, src trace.Source, obs ...observe.Observer) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -231,28 +194,31 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 		return int(n)
 	}
 	tpl := cfg.ThreadsPerL2()
+	streams := make([]trace.Stream, cfg.Threads())
 	for i := 0; i < cfg.NumL2(); i++ {
-		streams := make([]trace.Stream, tpl)
 		var recs int64
-		for j := 0; j < tpl; j++ {
-			tid := i*tpl + j
+		for tid := i * tpl; tid < (i+1)*tpl; tid++ {
 			if tid < src.Threads() && src.ThreadRecords(tid) > 0 {
-				streams[j] = src.Stream(tid)
+				streams[tid] = src.Stream(tid)
 				recs += src.ThreadRecords(tid)
 			}
 		}
-		sh, err := newShardStream(s, i, streams, clamp(recs))
+		sh, err := newShard(s, i, streams[i*tpl:(i+1)*tpl], clamp(recs))
 		if err != nil {
 			return nil, err
 		}
 		s.shards = append(s.shards, sh)
 	}
 
+	// Pre-size the global event queue from the workload: its high-water
+	// mark tracks in-flight bus transactions, bounded by what the trace
+	// can ever put in flight at once.
 	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
 	if limit := 2*clamp(src.Records()) + 64; events > limit {
 		events = limit
 	}
 	s.engine.Grow(events)
+	s.attach(obs)
 	return s, nil
 }
 
@@ -290,14 +256,11 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 	return s.finish(), nil
 }
 
-// finish asserts the drained wheels left no thread mid-access, drains
-// the auditor and gathers results.
+// finish asserts the drained wheels left no thread mid-access and
+// gathers results (which also finishes the observers).
 func (s *System) finish() *Results {
 	if !s.threadsDone() {
 		panic(fmt.Sprintf("system: engine drained with %d accesses outstanding", s.threadsOutstanding()))
-	}
-	if s.auditor != nil {
-		s.auditor.Drain(s.lastTime())
 	}
 	return s.results()
 }

@@ -4,8 +4,8 @@ import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
-	"cmpcache/internal/txlat"
 )
 
 // Local aliases keep the transaction-flow code readable.
@@ -46,8 +46,8 @@ func (s *System) pumpWB(l2idx int, now config.Cycles) {
 
 	slot := s.ring.ReserveAddress(now)
 	combineAt := slot + s.cfg.AddressPhase
-	if s.lat != nil {
-		s.lat.WBIssued(cache.ID(), entry.Key, now, combineAt)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.WBIssued, At: now, L2: cache.ID(), Key: entry.Key, CombineAt: combineAt})
 	}
 	s.engine.AtCall(combineAt, s.hCombineWB, sim.EventData{
 		Ptr: cache, Key: entry.Key, Kind: int8(entry.Kind), Flag: entry.Snarfable,
@@ -94,8 +94,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 	// held and must be released before this transaction retires (unless
 	// sendToL3 takes over the obligation).
 	l3Accepted := l3resp == coherence.RespWBAccept
-	if l3Accepted && s.auditor != nil {
-		s.auditor.OnTokenAcquired()
+	if l3Accepted && len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.TokenAcquired, At: now})
 	}
 
 	// The policy chip learns from the L3's snoop response to clean
@@ -108,8 +108,9 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 
 	entry, cancelled := cache.CompleteWB(key)
 
-	if s.tracer != nil {
-		s.tracer.WriteBack(now, cache.ID(), key, kind.String(), wbDisposition(cancelled, out), snarfable)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.WBDisposition, At: now, L2: cache.ID(), Key: key,
+			WB: l2.WBEntry{Key: key, Kind: kind, Snarfable: snarfable}, Disp: wbDisposition(cancelled, out)})
 	}
 
 	switch {
@@ -117,11 +118,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 		// A demand access reclaimed the line while this transaction was
 		// on the bus: ignore the outcome entirely.
 		s.wbCancelled++
-		if s.auditor != nil {
-			s.auditor.OnWBCancelled(cache.ID(), key, out.WBSnarfed)
-		}
-		if s.lat != nil {
-			s.lat.WBDone(cache.ID(), key, txlat.OutWBCancelled, now)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.WBCancelled, At: now, L2: cache.ID(), Key: key, SnarfElected: out.WBSnarfed})
 		}
 		if l3Accepted {
 			s.releaseL3Token()
@@ -153,19 +151,13 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 				}
 			}
 		}
-		if s.auditor != nil {
+		if len(s.obs) > 0 {
 			squasher := -1
 			if peerSquasher != nil && !out.SquashedByL3 {
 				squasher = peerSquasher.ID()
 			}
-			s.auditor.OnWBSquashed(cache.ID(), entry, out.SquashedByL3, squasher)
-		}
-		if s.lat != nil {
-			o := txlat.OutWBSquashPeer
-			if out.SquashedByL3 {
-				o = txlat.OutWBSquashL3
-			}
-			s.lat.WBDone(cache.ID(), key, o, now)
+			s.emit(observe.Event{Kind: observe.WBSquashed, At: now, L2: cache.ID(), Key: key, WB: entry,
+				ByL3: out.SquashedByL3, Peer: squasher})
 		}
 		if l3Accepted {
 			s.releaseL3Token()
@@ -177,11 +169,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 
 	case out.WBToL3:
 		s.wbToL3++
-		if s.auditor != nil {
-			s.auditor.OnWBToL3(cache.ID(), entry)
-		}
-		if s.lat != nil {
-			s.lat.WBToL3(cache.ID(), key, now)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.WBToL3, At: now, L2: cache.ID(), Key: key, WB: entry})
 		}
 		s.reuse.recordAccepted(key)
 		s.sendToL3(key, kind, now) // token released by sendToL3's completion
@@ -198,8 +187,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 func (s *System) retryWB(cache l2Handle, entry l2.WBEntry, now config.Cycles) {
 	s.wbRetried++
 	s.rswitch.RecordRetry(now)
-	if s.lat != nil {
-		s.lat.WBRetry(cache.ID(), entry.Key, now)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.WBRetry, At: now, L2: cache.ID(), Key: entry.Key})
 	}
 	cache.RequeueWB(entry)
 	s.engine.ScheduleCall(s.cfg.RetryBackoff, s.hFinishWB,
@@ -218,11 +207,9 @@ func (s *System) settleSnarf(cache l2Handle, entry l2.WBEntry, winner l2Handle, 
 	switch {
 	case accepted:
 		s.wbSnarfed++
-		if s.auditor != nil {
-			s.auditor.OnWBSnarfed(cache.ID(), entry, winner.ID(), displaced, dropped)
-		}
-		if s.lat != nil {
-			s.lat.WBDone(cache.ID(), entry.Key, txlat.OutWBSnarf, now)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.WBSnarfed, At: now, L2: cache.ID(), Key: entry.Key, WB: entry,
+				Peer: winner.ID(), Displaced: displaced, Dropped: dropped})
 		}
 		if l3Accepted {
 			s.releaseL3Token()
@@ -231,21 +218,16 @@ func (s *System) settleSnarf(cache l2Handle, entry l2.WBEntry, winner l2Handle, 
 		s.ring.ReserveData(now)
 	case l3Accepted:
 		s.snarfFallbacks++
-		if s.tracer != nil {
-			s.tracer.WriteBack(now, cache.ID(), entry.Key, entry.Kind.String(), "snarf-fallback", entry.Snarfable)
-		}
-		if s.auditor != nil {
-			s.auditor.OnWBToL3(cache.ID(), entry)
-		}
-		if s.lat != nil {
-			s.lat.WBToL3(cache.ID(), entry.Key, now)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.WBDisposition, At: now, L2: cache.ID(), Key: entry.Key, WB: entry, Disp: "snarf-fallback"})
+			s.emit(observe.Event{Kind: observe.WBToL3, At: now, L2: cache.ID(), Key: entry.Key, WB: entry})
 		}
 		s.reuse.recordAccepted(entry.Key)
 		s.sendToL3(entry.Key, entry.Kind, now)
 	default:
 		s.snarfFallbacks++
-		if s.tracer != nil {
-			s.tracer.WriteBack(now, cache.ID(), entry.Key, entry.Kind.String(), "snarf-retry", entry.Snarfable)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.WBDisposition, At: now, L2: cache.ID(), Key: entry.Key, WB: entry, Disp: "snarf-retry"})
 		}
 		s.retryWB(cache, entry, now)
 		return // the entry re-arbitrates; the bus slot is not yet free
@@ -300,13 +282,11 @@ func (s *System) wbArriveL3(d sim.EventData) {
 // retireL3Write installs the line, drains any displaced dirty victim to
 // memory, and frees the incoming-queue token.
 func (s *System) retireL3Write(key uint64, kind coherence.TxnKind) {
-	if s.lat != nil {
-		s.lat.WBRetired(key, s.engine.Now())
-	}
 	s.everInL3[key] = struct{}{}
 	co, castout := s.l3.Insert(key, kind)
-	if s.auditor != nil {
-		s.auditor.OnL3Retire(key, kind, co.Key, castout)
+	if len(s.obs) > 0 {
+		s.emit(observe.Event{Kind: observe.L3Retire, At: s.engine.Now(), Key: key, Txn: kind,
+			Displaced: co.Key, Castout: castout})
 	}
 	if castout {
 		// The displaced dirty victim must drain to memory before the

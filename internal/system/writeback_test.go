@@ -113,15 +113,14 @@ func TestWBRequestsCountsBusIssues(t *testing.T) {
 	cfg.L3QueueEntries = 1 // starve the L3 queue so write backs retry
 	tr := wbStormTrace(&cfg, 48)
 
-	s, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	probe := metrics.NewProbe(metrics.Config{Interval: 10_000})
 	var buf bytes.Buffer
 	tw := metrics.NewTraceWriter(&buf, metrics.JSONL)
 	probe.SetTrace(tw)
-	s.Attach(probe)
+	s, err := New(cfg, tr, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := s.Run()
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -147,14 +146,13 @@ func TestProbeObservationOnly(t *testing.T) {
 
 	_, plain := run(t, cfg, tr)
 
-	s, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	probe := metrics.NewProbe(metrics.Config{Interval: 500})
 	var buf bytes.Buffer
 	probe.SetTrace(metrics.NewTraceWriter(&buf, metrics.JSONL))
-	s.Attach(probe)
+	s, err := New(cfg, tr, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probed := s.Run()
 
 	if probed.Metrics == nil || len(probed.Metrics.Samples) == 0 {

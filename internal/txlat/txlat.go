@@ -26,17 +26,20 @@
 //	combine → L3 array retirement      (StageWBL3: data ring + L3 slice +
 //	                                   array write, to-L3 dispositions)
 //
-// Like the metrics probe and the invariant auditor, an attached
-// collector is observation-only: hooks never schedule events or touch
-// simulation state, so attached and detached runs are bit-identical in
-// event sequence and results. A system without a collector pays one nil
-// check per hook site (the cmpbench -bench-check gate enforces this
-// stays free).
+// Like the metrics probe and the invariant auditor, a Collector is an
+// observe.Observer: it attaches by being passed to the system's
+// constructor, and it is observation-only — hooks never schedule events
+// or touch simulation state, so attached and detached runs are
+// bit-identical in event sequence and results. A system without
+// observers pays one length check per hook site (the cmpbench
+// -bench-check gate enforces this stays free).
 package txlat
 
 import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/stats"
 )
 
@@ -249,29 +252,21 @@ func New(cfg Config) *Collector {
 	return c
 }
 
-// Windowed reports whether the collector needs the engine's per-event
-// tick (only when interval windowing is enabled).
-func (c *Collector) Windowed() bool { return c.interval > 0 }
-
-// Interval returns the window length (0 when windowing is disabled).
-func (c *Collector) Interval() config.Cycles { return c.interval }
-
-// Tick is the engine's per-event time observer; it closes every window
-// whose end the simulation clock has reached. Only called when
-// Windowed() — a non-windowed collector imposes no per-event work.
+// Tick closes every window whose end the simulation clock has reached;
+// it does nothing when windowing is disabled.
 func (c *Collector) Tick(now config.Cycles) {
-	for now >= c.nextClose {
+	for c.interval > 0 && now >= c.nextClose {
 		c.closeWindow(c.nextClose)
 	}
 }
 
-// NextBoundary returns the end of the currently open window, or a time
-// later than any reachable cycle when windowing is disabled. The sharded
-// coordinator caps each round's horizon strictly below it so windows
-// close only at round boundaries, after every preceding event has fired.
+// NextBoundary returns the end of the currently open window, or
+// observe.NoBoundary when windowing is disabled. The round coordinator
+// caps each round's horizon strictly below it so windows close only at
+// round boundaries, after every preceding event has fired.
 func (c *Collector) NextBoundary() config.Cycles {
 	if c.interval <= 0 {
-		return config.Cycles(1<<63 - 1)
+		return observe.NoBoundary
 	}
 	return c.nextClose
 }
@@ -421,6 +416,58 @@ func (c *Collector) siftDown(i int) {
 		}
 		c.slowest[i], c.slowest[m] = c.slowest[m], c.slowest[i]
 		i = m
+	}
+}
+
+// Observe routes one system event to its lifecycle hook below.
+func (c *Collector) Observe(e observe.Event) {
+	switch e.Kind {
+	case observe.DemandIssued:
+		c.DemandIssued(e.L2, e.Key, e.Issued, e.At)
+	case observe.DemandStart:
+		c.DemandStart(e.L2, e.Key, e.Txn, e.SwitchOn, e.At, e.CombineAt)
+	case observe.DemandCombine:
+		if e.Txn != coherence.Upgrade {
+			c.DemandCombine(e.L2, e.Key, e.Out.Source, e.At)
+		}
+	case observe.DemandSourceReady:
+		c.DemandSourceReady(e.L2, e.Key, e.At)
+	case observe.DemandComplete:
+		c.DemandComplete(e.L2, e.Key, e.At)
+	case observe.Victim:
+		if e.Action == l2.VictimQueued {
+			kind := coherence.CleanWB
+			if e.State.Dirty() {
+				kind = coherence.DirtyWB
+			}
+			c.WBQueued(e.L2, e.Key, kind, e.SwitchOn, e.At)
+		}
+	case observe.WBReinstall:
+		// A queued entry closes here; an in-flight one closes at its
+		// bus combine (WBCancelled below).
+		if !e.WB.InFlight {
+			c.WBCancelled(e.L2, e.Key, e.At)
+		}
+	case observe.WBDropped:
+		c.WBCancelled(e.L2, e.Key, e.At)
+	case observe.WBIssued:
+		c.WBIssued(e.L2, e.Key, e.At, e.CombineAt)
+	case observe.WBRetry:
+		c.WBRetry(e.L2, e.Key, e.At)
+	case observe.WBCancelled:
+		c.WBDone(e.L2, e.Key, OutWBCancelled, e.At)
+	case observe.WBSquashed:
+		out := OutWBSquashPeer
+		if e.ByL3 {
+			out = OutWBSquashL3
+		}
+		c.WBDone(e.L2, e.Key, out, e.At)
+	case observe.WBSnarfed:
+		c.WBDone(e.L2, e.Key, OutWBSnarf, e.At)
+	case observe.WBToL3:
+		c.WBToL3(e.L2, e.Key, e.At)
+	case observe.L3Retire:
+		c.WBRetired(e.Key, e.At)
 	}
 }
 

@@ -243,8 +243,8 @@ func TestTopKReservoir(t *testing.T) {
 // of their completion cycle and the final partial window is emitted.
 func TestWindows(t *testing.T) {
 	c := New(Config{Interval: 100})
-	if !c.Windowed() {
-		t.Fatal("expected windowed collector")
+	if b := c.NextBoundary(); b != 100 {
+		t.Fatalf("NextBoundary = %d, want the first window's end 100", b)
 	}
 	complete := func(key uint64, start, end config.Cycles) {
 		c.Tick(end)
