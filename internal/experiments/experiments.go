@@ -70,27 +70,13 @@ func (o Options) tableSizes() []int {
 	return TableSizeSweep
 }
 
-// runKey identifies a unique simulation configuration.
-type runKey struct {
-	workload     string
-	mech         config.Mechanism
-	outstanding  int
-	wbhtEntries  int
-	snarfEntries int
-	global       bool
-	noSwitch     bool
-	snarfLRU     bool
-	invalidOnly  bool
-	coarse       int  // WBHT LinesPerEntry override (0 = 1)
-	historyRepl  bool // WBHT-informed L2 replacement (Section 7)
-}
-
 // Runner executes and caches simulation runs for the experiment set.
-// Fresh runs are dispatched through the internal/sweep pool.
+// The cache is keyed by the sweep.Job each artifact asks for; fresh runs
+// are dispatched through the internal/sweep pool.
 type Runner struct {
 	opts  Options
 	sim   *sweep.Simulator
-	cache map[runKey]*system.Results
+	cache map[sweep.Job]*system.Results
 	// simEvents accumulates engine events fired across fresh (uncached)
 	// simulation runs — the throughput denominator for BENCH_core.json.
 	simEvents uint64
@@ -104,49 +90,24 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{
 		opts:  opts,
 		sim:   sweep.NewSimulator(),
-		cache: make(map[runKey]*system.Results),
+		cache: make(map[sweep.Job]*system.Results),
 	}
 }
 
-// jobFor translates a run key into its sweep job.
-func (r *Runner) jobFor(k runKey) sweep.Job {
-	return sweep.Job{
-		Workload:      k.workload,
-		Mechanism:     k.mech,
-		Outstanding:   k.outstanding,
-		WBHTEntries:   k.wbhtEntries,
-		SnarfEntries:  k.snarfEntries,
-		GlobalWBHT:    k.global,
-		NoSwitch:      k.noSwitch,
-		SnarfLRU:      k.snarfLRU,
-		InvalidOnly:   k.invalidOnly,
-		LinesPerEntry: k.coarse,
-		HistoryRepl:   k.historyRepl,
-		RefsPerThread: r.opts.RefsPerThread,
-	}
-}
-
-// configFor materializes the simulated configuration for a key — the
-// exact configuration the sweep executor runs.
-func (r *Runner) configFor(k runKey) config.Config {
-	return r.jobFor(k).Config()
-}
-
-// prefetch executes every uncached key on the sweep pool and fills the
-// cache. Artifacts call it with their complete key set before
+// prefetch executes every uncached job on the sweep pool and fills the
+// cache. Artifacts call it with their complete job set before
 // rendering, so independent runs proceed concurrently while table
-// rendering stays strictly ordered.
-func (r *Runner) prefetch(keys []runKey) error {
-	var jobs []sweep.Job
-	var fresh []runKey
-	seen := make(map[runKey]bool, len(keys))
+// rendering stays strictly ordered. Duplicates within the set execute
+// once (the pool deduplicates them).
+func (r *Runner) prefetch(keys []sweep.Job) error {
+	var fresh, jobs []sweep.Job
 	for _, k := range keys {
-		if _, ok := r.cache[k]; ok || seen[k] {
+		if _, ok := r.cache[k]; ok {
 			continue
 		}
-		seen[k] = true
 		fresh = append(fresh, k)
-		jobs = append(jobs, r.jobFor(k))
+		k.RefsPerThread = r.opts.RefsPerThread
+		jobs = append(jobs, k)
 	}
 	if len(jobs) == 0 {
 		return nil
@@ -169,7 +130,9 @@ func (r *Runner) prefetch(keys []runKey) error {
 			return fmt.Errorf("experiments: %w", res.Err)
 		}
 		r.cache[fresh[i]] = res.Results
-		r.simEvents += res.Results.EventsFired
+		if !res.Cached {
+			r.simEvents += res.Results.EventsFired
+		}
 	}
 	return nil
 }
@@ -179,11 +142,11 @@ func (r *Runner) prefetch(keys []runKey) error {
 func (r *Runner) SimEvents() uint64 { return r.simEvents }
 
 // result runs (or recalls) one simulation.
-func (r *Runner) result(k runKey) (*system.Results, error) {
+func (r *Runner) result(k sweep.Job) (*system.Results, error) {
 	if res, ok := r.cache[k]; ok {
 		return res, nil
 	}
-	if err := r.prefetch([]runKey{k}); err != nil {
+	if err := r.prefetch([]sweep.Job{k}); err != nil {
 		return nil, err
 	}
 	return r.cache[k], nil
@@ -191,7 +154,7 @@ func (r *Runner) result(k runKey) (*system.Results, error) {
 
 // base returns the baseline run for a workload at an outstanding level.
 func (r *Runner) base(workload string, outstanding int) (*system.Results, error) {
-	return r.result(runKey{workload: workload, mech: config.Baseline, outstanding: outstanding})
+	return r.result(baseKey(workload, outstanding))
 }
 
 // Experiment names accepted by Run, in presentation order.

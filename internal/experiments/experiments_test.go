@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cmpcache/internal/config"
+	"cmpcache/internal/sweep"
 )
 
 // tinyRunner keeps experiment tests fast: short traces, trimmed grids.
@@ -32,11 +33,11 @@ func TestRunnerDistinctKeysRunSeparately(t *testing.T) {
 	r := tinyRunner()
 	runs := 0
 	r.Progress = func(string) { runs++ }
-	keys := []runKey{
-		{workload: "tp", mech: config.Baseline, outstanding: 6},
-		{workload: "tp", mech: config.WBHT, outstanding: 6},
-		{workload: "tp", mech: config.WBHT, outstanding: 6, global: true},
-		{workload: "tp", mech: config.WBHT, outstanding: 6, wbhtEntries: 512},
+	keys := []sweep.Job{
+		{Workload: "tp", Mechanism: config.Baseline, Outstanding: 6},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, GlobalWBHT: true},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: 512},
 	}
 	for _, k := range keys {
 		if _, err := r.result(k); err != nil {
@@ -49,17 +50,16 @@ func TestRunnerDistinctKeysRunSeparately(t *testing.T) {
 }
 
 func TestConfigForVariants(t *testing.T) {
-	r := tinyRunner()
-	cfg := r.configFor(runKey{workload: "tp", mech: config.Snarf, outstanding: 3,
-		snarfEntries: 1024, snarfLRU: true, invalidOnly: true})
+	cfg := sweep.Job{Workload: "tp", Mechanism: config.Snarf, Outstanding: 3,
+		SnarfEntries: 1024, SnarfLRU: true, InvalidOnly: true}.Config()
 	if cfg.Mechanism != config.Snarf || cfg.MaxOutstanding != 3 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if cfg.Snarf.Entries != 1024 || cfg.Snarf.InsertMRU || cfg.Snarf.VictimizeShared {
 		t.Fatalf("snarf overrides not applied: %+v", cfg.Snarf)
 	}
-	cfg = r.configFor(runKey{workload: "tp", mech: config.WBHT, outstanding: 6,
-		wbhtEntries: 2048, global: true, noSwitch: true})
+	cfg = sweep.Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6,
+		WBHTEntries: 2048, GlobalWBHT: true, NoSwitch: true}.Config()
 	if cfg.WBHT.Entries != 2048 || !cfg.WBHT.GlobalAllocate || cfg.WBHT.SwitchEnabled {
 		t.Fatalf("wbht overrides not applied: %+v", cfg.WBHT)
 	}
@@ -165,21 +165,26 @@ func TestParallelRendersIdenticalArtifacts(t *testing.T) {
 }
 
 // TestPrefetchDeduplicatesSharedBaselines asserts an artifact's shared
-// baseline runs execute once even when prefetched as a batch.
+// baseline runs execute once even when prefetched as a batch, and that
+// SimEvents counts each distinct run once.
 func TestPrefetchDeduplicatesSharedBaselines(t *testing.T) {
 	r := tinyRunner()
 	runs := 0
 	r.Progress = func(string) { runs++ }
-	keys := []runKey{
+	keys := []sweep.Job{
 		baseKey("tp", 6),
 		baseKey("tp", 6),
-		{workload: "tp", mech: config.WBHT, outstanding: 6},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6},
 	}
 	if err := r.prefetch(keys); err != nil {
 		t.Fatal(err)
 	}
 	if runs != 2 {
 		t.Fatalf("prefetch ran %d simulations, want 2", runs)
+	}
+	want := r.cache[keys[0]].EventsFired + r.cache[keys[2]].EventsFired
+	if got := r.SimEvents(); got != want {
+		t.Fatalf("SimEvents = %d, want %d (each distinct job once)", got, want)
 	}
 	// A second prefetch of the same keys is fully cached.
 	if err := r.prefetch(keys); err != nil {
@@ -188,11 +193,14 @@ func TestPrefetchDeduplicatesSharedBaselines(t *testing.T) {
 	if runs != 2 {
 		t.Fatalf("cached prefetch reran simulations: %d", runs)
 	}
+	if got := r.SimEvents(); got != want {
+		t.Fatalf("SimEvents after cached prefetch = %d, want %d", got, want)
+	}
 }
 
 func TestPrefetchReportsBadWorkload(t *testing.T) {
 	r := tinyRunner()
-	if err := r.prefetch([]runKey{{workload: "bogus", mech: config.Baseline, outstanding: 6}}); err == nil {
+	if err := r.prefetch([]sweep.Job{{Workload: "bogus", Mechanism: config.Baseline, Outstanding: 6}}); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
 }

@@ -6,20 +6,21 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/stats"
+	"cmpcache/internal/sweep"
 	"cmpcache/internal/workload"
 )
 
 // baseKey is the baseline configuration every improvement figure
 // compares against.
-func baseKey(workload string, outstanding int) runKey {
-	return runKey{workload: workload, mech: config.Baseline, outstanding: outstanding}
+func baseKey(workload string, outstanding int) sweep.Job {
+	return sweep.Job{Workload: workload, Mechanism: config.Baseline, Outstanding: outstanding}
 }
 
 // sweepImprovement renders one pressure-sweep figure: percentage runtime
 // improvement over the baseline at each outstanding-miss level. All
 // grid points are prefetched through the sweep pool before rendering.
-func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string, int) runKey) error {
-	var keys []runKey
+func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string, int) sweep.Job) error {
+	var keys []sweep.Job
 	for _, name := range Workloads {
 		for _, o := range r.opts.outstanding() {
 			keys = append(keys, baseKey(name, o), variant(name, o))
@@ -62,8 +63,8 @@ func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string
 func (r *Runner) Figure2(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 2 — WBHT runtime improvement vs outstanding misses (paper: rises with pressure to ~5-13%; NotesBench flat; TP negative at 2)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.WBHT, outstanding: o}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: o}
 		})
 }
 
@@ -72,18 +73,17 @@ func (r *Runner) Figure2(w io.Writer) error {
 func (r *Runner) Figure3(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 3 — WBHT with global allocation vs outstanding misses (paper: same trends as Fig 2, small extra gain at high pressure)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.WBHT, outstanding: o, global: true}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: o, GlobalWBHT: true}
 		})
 }
 
 // sizeSweep renders one table-size figure: runtime normalized to the
 // 512-entry configuration at 6 outstanding misses. All grid points are
 // prefetched through the sweep pool before rendering.
-func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) runKey) error {
-	var keys []runKey
+func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) sweep.Job) error {
+	var keys []sweep.Job
 	for _, name := range Workloads {
-		keys = append(keys, variant(name, 512))
 		for _, entries := range r.opts.tableSizes() {
 			keys = append(keys, variant(name, entries))
 		}
@@ -121,8 +121,8 @@ func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) 
 func (r *Runner) Figure4(w io.Writer) error {
 	return r.sizeSweep(w,
 		"Figure 4 — runtime vs WBHT entries, normalized to 512 (paper: all improve with size; Trade2 most, to ~0.78)",
-		func(name string, entries int) runKey {
-			return runKey{workload: name, mech: config.WBHT, outstanding: 6, wbhtEntries: entries}
+		func(name string, entries int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: entries}
 		})
 }
 
@@ -131,8 +131,8 @@ func (r *Runner) Figure4(w io.Writer) error {
 func (r *Runner) Figure5(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 5 — L2 snarfing runtime improvement vs outstanding misses (paper: TP largest ~13%; CPW2/NotesBench flat ~2%)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.Snarf, outstanding: o}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: o}
 		})
 }
 
@@ -142,8 +142,8 @@ func (r *Runner) Figure5(w io.Writer) error {
 func (r *Runner) Figure6(w io.Writer) error {
 	return r.sizeSweep(w,
 		"Figure 6 — runtime vs snarf-table entries, normalized to 512 (paper: weak sensitivity; Trade2 up to ~4.5%)",
-		func(name string, entries int) runKey {
-			return runKey{workload: name, mech: config.Snarf, outstanding: 6, snarfEntries: entries}
+		func(name string, entries int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: 6, SnarfEntries: entries}
 		})
 }
 
@@ -153,8 +153,8 @@ func (r *Runner) Figure6(w io.Writer) error {
 func (r *Runner) Figure7(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 7 — combined WBHT+snarfing (16K-entry tables) vs outstanding misses (paper: not additive; TP better than either alone)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.Combined, outstanding: o}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.Combined, Outstanding: o}
 		})
 }
 
@@ -166,32 +166,32 @@ func (r *Runner) Ablations(w io.Writer) error {
 		"Snarf invalid-only", "Combined", "WBHT coarse x4", "WBHT hist-repl")
 	variants := []struct {
 		name string
-		key  func(string) runKey
+		key  func(string) sweep.Job
 	}{
-		{"WBHT", func(n string) runKey { return runKey{workload: n, mech: config.WBHT, outstanding: 6} }},
-		{"WBHT no-switch", func(n string) runKey {
-			return runKey{workload: n, mech: config.WBHT, outstanding: 6, noSwitch: true}
+		{"WBHT", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6} }},
+		{"WBHT no-switch", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, NoSwitch: true}
 		}},
-		{"Snarf", func(n string) runKey { return runKey{workload: n, mech: config.Snarf, outstanding: 6} }},
-		{"Snarf LRU-insert", func(n string) runKey {
-			return runKey{workload: n, mech: config.Snarf, outstanding: 6, snarfLRU: true}
+		{"Snarf", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6} }},
+		{"Snarf LRU-insert", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, SnarfLRU: true}
 		}},
-		{"Snarf invalid-only", func(n string) runKey {
-			return runKey{workload: n, mech: config.Snarf, outstanding: 6, invalidOnly: true}
+		{"Snarf invalid-only", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, InvalidOnly: true}
 		}},
-		{"Combined", func(n string) runKey { return runKey{workload: n, mech: config.Combined, outstanding: 6} }},
-		{"WBHT coarse x4", func(n string) runKey {
-			return runKey{workload: n, mech: config.WBHT, outstanding: 6, coarse: 4}
+		{"Combined", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.Combined, Outstanding: 6} }},
+		{"WBHT coarse x4", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, LinesPerEntry: 4}
 		}},
-		{"WBHT hist-repl", func(n string) runKey {
-			return runKey{workload: n, mech: config.WBHT, outstanding: 6, historyRepl: true}
+		{"WBHT hist-repl", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, HistoryRepl: true}
 		}},
 	}
-	var keys []runKey
+	var keys []sweep.Job
 	for _, name := range Workloads {
 		keys = append(keys, baseKey(name, 6), baseKey(name, 1),
-			runKey{workload: name, mech: config.WBHT, outstanding: 1},
-			runKey{workload: name, mech: config.WBHT, outstanding: 1, noSwitch: true})
+			sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 1},
+			sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 1, NoSwitch: true})
 		for _, v := range variants {
 			keys = append(keys, v.key(name))
 		}
@@ -228,11 +228,11 @@ func (r *Runner) Ablations(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		adaptive, err := r.result(runKey{workload: name, mech: config.WBHT, outstanding: 1})
+		adaptive, err := r.result(sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 1})
 		if err != nil {
 			return err
 		}
-		forced, err := r.result(runKey{workload: name, mech: config.WBHT, outstanding: 1, noSwitch: true})
+		forced, err := r.result(sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 1, NoSwitch: true})
 		if err != nil {
 			return err
 		}
@@ -246,7 +246,7 @@ func (r *Runner) Ablations(w io.Writer) error {
 // Summary returns a compact per-workload baseline characterization used
 // by cmpbench's header output.
 func (r *Runner) SummaryTable(w io.Writer) error {
-	var keys []runKey
+	var keys []sweep.Job
 	for _, name := range Workloads {
 		keys = append(keys, baseKey(name, 6))
 	}

@@ -5,6 +5,7 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/stats"
+	"cmpcache/internal/sweep"
 	"cmpcache/internal/workload"
 )
 
@@ -23,10 +24,10 @@ var policyMechs = []config.Mechanism{
 // are judged against the paper by Tables 4/5 and Figures 2..7; this
 // artifact ranks the plug-ins against each other on equal traces.
 func (r *Runner) Policies(w io.Writer) error {
-	var keys []runKey
+	var keys []sweep.Job
 	for _, name := range Workloads {
 		for _, m := range policyMechs {
-			keys = append(keys, runKey{workload: name, mech: m, outstanding: 6})
+			keys = append(keys, sweep.Job{Workload: name, Mechanism: m, Outstanding: 6})
 		}
 	}
 	if err := r.prefetch(keys); err != nil {
@@ -42,7 +43,7 @@ func (r *Runner) Policies(w io.Writer) error {
 			return err
 		}
 		for i, m := range policyMechs {
-			res, err := r.result(runKey{workload: name, mech: m, outstanding: 6})
+			res, err := r.result(sweep.Job{Workload: name, Mechanism: m, Outstanding: 6})
 			if err != nil {
 				return err
 			}
@@ -69,7 +70,7 @@ func (r *Runner) Policies(w io.Writer) error {
 		"Workload", "Evictions", "Samples", "Consults", "Cold passes",
 		"Aborts", "Aborts w/ line in L3")
 	for _, name := range Workloads {
-		res, err := r.result(runKey{workload: name, mech: config.ReuseDist, outstanding: 6})
+		res, err := r.result(sweep.Job{Workload: name, Mechanism: config.ReuseDist, Outstanding: 6})
 		if err != nil {
 			return err
 		}
@@ -88,7 +89,7 @@ func (r *Runner) Policies(w io.Writer) error {
 		"Workload", "Scored reads", "Update pushes", "Invalidate upgrades",
 		"Update share %", "Upgrades committed as updates")
 	for _, name := range Workloads {
-		res, err := r.result(runKey{workload: name, mech: config.HybridUI, outstanding: 6})
+		res, err := r.result(sweep.Job{Workload: name, Mechanism: config.HybridUI, Outstanding: 6})
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/stats"
+	"cmpcache/internal/sweep"
 	"cmpcache/internal/system"
 	"cmpcache/internal/workload"
 )
@@ -140,7 +141,7 @@ func (r *Runner) Table4(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wbht, err := r.result(runKey{workload: name, mech: config.WBHT, outstanding: 6})
+		wbht, err := r.result(sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 6})
 		if err != nil {
 			return err
 		}
@@ -174,7 +175,7 @@ func (r *Runner) Table5(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		snarf, err := r.result(runKey{workload: name, mech: config.Snarf, outstanding: 6})
+		snarf, err := r.result(sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: 6})
 		if err != nil {
 			return err
 		}
@@ -224,7 +225,7 @@ type resultsPair struct {
 // prefetchBaselines warms the cache with every workload's baseline run
 // at the given outstanding level.
 func (r *Runner) prefetchBaselines(outstanding int) error {
-	var keys []runKey
+	var keys []sweep.Job
 	for _, name := range Workloads {
 		keys = append(keys, baseKey(name, outstanding))
 	}
@@ -234,10 +235,10 @@ func (r *Runner) prefetchBaselines(outstanding int) error {
 // prefetchPairs warms the cache with (baseline, mech) pairs for every
 // workload at the given outstanding level.
 func (r *Runner) prefetchPairs(mech config.Mechanism, outstanding int) error {
-	var keys []runKey
+	var keys []sweep.Job
 	for _, name := range Workloads {
 		keys = append(keys, baseKey(name, outstanding),
-			runKey{workload: name, mech: mech, outstanding: outstanding})
+			sweep.Job{Workload: name, Mechanism: mech, Outstanding: outstanding})
 	}
 	return r.prefetch(keys)
 }

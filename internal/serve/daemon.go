@@ -16,7 +16,6 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/sweep"
-	"cmpcache/internal/system"
 	"cmpcache/internal/telemetry"
 	"cmpcache/internal/txlat"
 )
@@ -374,14 +373,11 @@ func (d *Daemon) worker() {
 	}
 }
 
-// runOne executes one primary job with panic isolation and per-job
-// timeout, writes the result through the cache, and completes the job
-// and all collapsed waiters.
+// runOne executes one primary job through sweep.Exec (panic isolation
+// and the per-job timeout), writes the result through the cache, and
+// completes the job and all collapsed waiters.
 func (d *Daemon) runOne(j *jobState) {
 	ctx, cancel := context.WithCancel(d.baseCtx)
-	if d.opts.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(d.baseCtx, d.opts.JobTimeout)
-	}
 	defer cancel()
 	if !j.markRunning(cancel) {
 		// Cancelled while queued; release the primary slot.
@@ -394,7 +390,7 @@ func (d *Daemon) runOne(j *jobState) {
 	d.met.jobQueueSeconds.Observe(started.Sub(j.enqueuedAt()).Seconds())
 	d.log.Info("job run", "id", j.origin, "job", j.ID, "key", shortKey(j.Key))
 
-	res, err := d.execute(ctx, j.Job)
+	res, err := sweep.Exec(ctx, d.run, j.Job, d.opts.JobTimeout)
 	if err != nil {
 		status := JobFailed
 		if errors.Is(err, context.Canceled) {
@@ -422,20 +418,6 @@ func (d *Daemon) runOne(j *jobState) {
 	d.log.Info("cache store", "id", j.origin, "job", j.ID,
 		"key", shortKey(j.Key), "bytes", len(data))
 	d.finishPrimary(j, JobDone, data, "")
-}
-
-// execute runs the job, converting a panic into an error so one broken
-// configuration fails its job instead of killing the daemon.
-func (d *Daemon) execute(ctx context.Context, job sweep.Job) (res *system.Results, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("serve: job %s panicked: %v", job, p)
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return d.run(ctx, job)
 }
 
 // finishPrimary completes a primary and its collapsed waiters, and

@@ -8,8 +8,6 @@ import (
 	"net/http/pprof"
 
 	"cmpcache/internal/sweep"
-	"cmpcache/internal/trace"
-	"cmpcache/internal/workload"
 )
 
 // SubmitRequest is the POST /v1/jobs body: either an explicit job list
@@ -35,20 +33,7 @@ type SubmitRequest struct {
 // expand materializes the request into concrete jobs.
 func (r *SubmitRequest) expand() ([]sweep.Job, error) {
 	if len(r.Jobs) > 0 {
-		for _, j := range r.Jobs {
-			if j.TraceFile != "" {
-				if j.Workload != "" {
-					return nil, fmt.Errorf("job sets both TraceFile %q and Workload %q", j.TraceFile, j.Workload)
-				}
-				if _, err := trace.Describe(j.TraceFile); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if _, err := workload.ByName(j.Workload); err != nil {
-				return nil, err
-			}
-		}
+		// Submit validates explicit jobs when it keys them.
 		return r.Jobs, nil
 	}
 	plan := sweep.Plan{

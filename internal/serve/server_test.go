@@ -119,6 +119,11 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Errorf("waiter %d not marked collapsed (%+v)", i, v)
 		}
 	}
+	// Each job is counted just after it completes; wait for the last.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Snapshot().Completed < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	stats := d.Snapshot()
 	if stats.SimRuns != 1 || stats.Collapsed != n-1 || stats.Completed != n {
 		t.Errorf("stats = %+v, want 1 run, %d collapsed, %d completed", stats, n-1, n)
@@ -211,13 +216,63 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestPanicIsolation proves one panicking simulation fails only its own
+// job: the job ends failed with the recovered panic in its error, the
+// failed counter moves by one, and the daemon keeps serving.
+func TestPanicIsolation(t *testing.T) {
+	run := func(ctx context.Context, j sweep.Job) (*system.Results, error) {
+		if j.Mechanism == config.WBHT {
+			panic("injected")
+		}
+		return &system.Results{EventsFired: 1}, nil
+	}
+	d := mustDaemon(t, Options{Workers: 1, Run: run})
+	defer d.Shutdown(context.Background())
+	failed := func() float64 {
+		var b strings.Builder
+		d.Registry().WritePrometheus(&b)
+		return metricValue(t, b.String(), "cmpserved_jobs_failed_total")
+	}
+	before := failed()
+
+	bad, err := d.Submit([]sweep.Job{{Workload: "tp", Mechanism: config.WBHT, RefsPerThread: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, bad...)
+	if v := bad[0].view(false); v.Status != JobFailed || !strings.Contains(v.Error, "panicked") {
+		t.Fatalf("panicking job = %s %q, want failed with a recovered panic", v.Status, v.Error)
+	}
+	// The counter moves just after the job completes; wait for it.
+	deadline := time.Now().Add(5 * time.Second)
+	for failed() < before+1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	good, err := d.Submit([]sweep.Job{{Workload: "tp", Mechanism: config.Baseline, RefsPerThread: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, good...)
+	if st, _ := good[0].snapshot(); st != JobDone {
+		t.Fatalf("job after the panic = %s, want done", st)
+	}
+	if got := failed(); got != before+1 {
+		t.Errorf("cmpserved_jobs_failed_total = %v, want %v", got, before+1)
+	}
+}
+
 // TestShutdownDrains proves a graceful shutdown finishes queued work,
 // persists the L1 to disk, and leaks no goroutines.
 func TestShutdownDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
 	run := func(ctx context.Context, j sweep.Job) (*system.Results, error) {
-		time.Sleep(10 * time.Millisecond)
+		select {
+		case <-time.After(10 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return &system.Results{EventsFired: 1}, nil
 	}
 	d := mustDaemon(t, Options{Workers: 2, CacheDir: dir, Run: run})

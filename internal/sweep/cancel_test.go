@@ -58,9 +58,8 @@ func TestPoolCancellation(t *testing.T) {
 }
 
 // TestPoolTimeoutStopsRun proves a per-job timeout actually stops the
-// default simulator (not just the result wait): the job reports
-// DeadlineExceeded and the abandoned run's goroutine exits instead of
-// simulating to completion in the background.
+// default simulator: the job reports DeadlineExceeded and the run
+// stops instead of simulating to completion.
 func TestPoolTimeoutStopsRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	jobs := []Job{{Workload: "tp", Mechanism: config.Baseline, RefsPerThread: 60_000}}

@@ -70,7 +70,7 @@ func TestPoolMetricsCounts(t *testing.T) {
 // container, the second is served from the source cache.
 func TestPoolMetricsSourceCache(t *testing.T) {
 	dir := writeShardedTrace(t, genTrace(t, "tp", 200))
-	met := NewPoolMetrics(nil, "") // detached instruments still count
+	met := NewPoolMetrics(telemetry.New(), "test")
 	jobs := []Job{
 		{TraceFile: dir, Mechanism: config.Baseline},
 		{TraceFile: dir, Mechanism: config.WBHT},

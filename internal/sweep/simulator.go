@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"sync"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
@@ -39,20 +38,13 @@ type Simulator struct {
 	SourceOpens *telemetry.Counter
 	SourceHits  *telemetry.Counter
 
-	mu      sync.Mutex
-	traces  map[traceKey]*traceEntry
-	sources map[sourceKey]*sourceEntry
+	traces  flight[traceKey, *trace.Trace]
+	sources flight[sourceKey, trace.Source]
 }
 
 type traceKey struct {
 	name string
 	refs int
-}
-
-type traceEntry struct {
-	ready chan struct{}
-	tr    *trace.Trace
-	err   error
 }
 
 // sourceKey keys opened trace files by path AND content hash: a file
@@ -63,42 +55,16 @@ type sourceKey struct {
 	sha  string
 }
 
-type sourceEntry struct {
-	ready chan struct{}
-	src   trace.Source
-	err   error
-}
-
-// NewSimulator returns a Simulator with an empty trace cache.
-func NewSimulator() *Simulator {
-	return &Simulator{
-		traces:  make(map[traceKey]*traceEntry),
-		sources: make(map[sourceKey]*sourceEntry),
-	}
-}
+// NewSimulator returns a Simulator with empty trace and source caches.
+func NewSimulator() *Simulator { return &Simulator{} }
 
 // trace returns the cached trace for (name, refs), generating it at
 // most once even under concurrent callers.
 func (s *Simulator) trace(ctx context.Context, name string, refs int) (*trace.Trace, error) {
-	key := traceKey{name: name, refs: refs}
-	s.mu.Lock()
-	e, ok := s.traces[key]
-	if !ok {
-		e = &traceEntry{ready: make(chan struct{})}
-		s.traces[key] = e
-	}
-	s.mu.Unlock()
-	if !ok {
-		e.tr, e.err = generate(name, refs)
-		close(e.ready)
-		return e.tr, e.err
-	}
-	select {
-	case <-e.ready:
-		return e.tr, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	tr, _, err := s.traces.do(ctx, traceKey{name: name, refs: refs}, func() (*trace.Trace, error) {
+		return generate(name, refs)
+	})
+	return tr, err
 }
 
 func generate(name string, refs int) (*trace.Trace, error) {
@@ -122,27 +88,14 @@ func (s *Simulator) source(ctx context.Context, path string) (trace.Source, erro
 	if err != nil {
 		return nil, err
 	}
-	key := sourceKey{path: path, sha: ref.SHA256}
-	s.mu.Lock()
-	e, ok := s.sources[key]
-	if !ok {
-		e = &sourceEntry{ready: make(chan struct{})}
-		s.sources[key] = e
-	}
-	s.mu.Unlock()
-	if !ok {
+	src, hit, err := s.sources.do(ctx, sourceKey{path: path, sha: ref.SHA256}, func() (trace.Source, error) {
 		s.SourceOpens.Inc()
-		e.src, e.err = openSource(path)
-		close(e.ready)
-		return e.src, e.err
+		return openSource(path)
+	})
+	if hit {
+		s.SourceHits.Inc()
 	}
-	s.SourceHits.Inc()
-	select {
-	case <-e.ready:
-		return e.src, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return src, err
 }
 
 func openSource(path string) (trace.Source, error) {

@@ -37,8 +37,8 @@ import (
 	"cmpcache/internal/txlat"
 )
 
-// Job identifies one simulation configuration, keyed the same way the
-// experiment harness keys its run cache. The zero value of every
+// Job identifies one simulation configuration; the experiment harness
+// keys its run cache by it. The zero value of every
 // override field means "paper default". Within a sweep, jobs are
 // deduplicated by their canonical content hash (Key), so two jobs that
 // materialize to the same (config, workload, seed) — even spelled
@@ -218,12 +218,11 @@ type RunFunc func(context.Context, Job) (*system.Results, error)
 type Options struct {
 	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
 	Workers int
-	// Timeout, when positive, cancels each job that runs longer. The
-	// timed-out job reports context.DeadlineExceeded; the sweep
-	// continues. The default Simulator polls the context between
-	// events, so a timed-out run stops (and its goroutine exits)
-	// within milliseconds; a custom Run that ignores its context is
-	// abandoned on its goroutine instead.
+	// Timeout, when positive, cancels each job that runs longer (see
+	// Exec). The timed-out job reports context.DeadlineExceeded; the
+	// sweep continues. The default Simulator polls the context between
+	// events, so a timed-out run stops within milliseconds; a custom
+	// Run that ignores its context runs to completion.
 	Timeout time.Duration
 	// Progress, when non-nil, receives one serialized event per
 	// finished job.
@@ -272,18 +271,8 @@ type PoolMetrics struct {
 }
 
 // NewPoolMetrics registers the full pool instrument set on reg under
-// the given metric-name prefix (e.g. "cmpsweep"). A nil registry yields
-// detached but functional instruments.
+// the given metric-name prefix (e.g. "cmpsweep").
 func NewPoolMetrics(reg *telemetry.Registry, prefix string) *PoolMetrics {
-	if reg == nil {
-		return &PoolMetrics{
-			Busy:    &telemetry.Gauge{},
-			JobsRun: &telemetry.Counter{}, JobsDeduped: &telemetry.Counter{},
-			QueueSeconds: telemetry.NewHistogram(telemetry.SecondsBuckets),
-			JobSeconds:   telemetry.NewHistogram(telemetry.SecondsBuckets),
-			SourceOpens:  &telemetry.Counter{}, SourceHits: &telemetry.Counter{},
-		}
-	}
 	return &PoolMetrics{
 		Busy: reg.Gauge(prefix+"_pool_busy_workers",
 			"Pool workers currently executing a simulation."),
@@ -343,11 +332,10 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 	}
 	results := make([]Result, len(jobs))
 	pool := &pool{
-		entries: make(map[string]*entry, len(jobs)),
-		total:   len(jobs),
-		start:   time.Now(),
-		report:  opts.Progress,
-		met:     met,
+		total:  len(jobs),
+		start:  time.Now(),
+		report: opts.Progress,
+		met:    met,
 	}
 
 	idxCh := make(chan int)
@@ -369,17 +357,49 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 	return results
 }
 
-// entry is the shared execution record for one distinct Job.
-type entry struct {
-	ready chan struct{} // closed once res/err/dur are final
-	res   *system.Results
+// flight is an in-package singleflight map: the first caller for a key
+// computes the value, every later caller for that key waits for it (or
+// for its own ctx) and shares the outcome.
+type flight[K comparable, V any] struct {
+	mu    sync.Mutex
+	calls map[K]*call[V]
+}
+
+type call[V any] struct {
+	ready chan struct{} // closed once val/err are final
+	val   V
 	err   error
-	dur   time.Duration
+}
+
+// do returns the value for key, running fn at most once per key. shared
+// reports that another caller ran fn; a shared caller whose ctx ends
+// first gets ctx.Err() while fn keeps going for the others.
+func (f *flight[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
+	f.mu.Lock()
+	c, shared := f.calls[key]
+	if !shared {
+		if f.calls == nil {
+			f.calls = make(map[K]*call[V])
+		}
+		c = &call[V]{ready: make(chan struct{})}
+		f.calls[key] = c
+	}
+	f.mu.Unlock()
+	if !shared {
+		c.val, c.err = fn()
+		close(c.ready)
+		return c.val, false, c.err
+	}
+	select {
+	case <-c.ready:
+		return c.val, true, c.err
+	case <-ctx.Done():
+		return v, true, ctx.Err()
+	}
 }
 
 type pool struct {
-	mu      sync.Mutex
-	entries map[string]*entry
+	runs flight[string, *system.Results]
 
 	progressMu sync.Mutex
 	done       int
@@ -390,41 +410,26 @@ type pool struct {
 	met *PoolMetrics // never nil; individual instruments may be
 }
 
-// execute runs (or awaits) the entry for job and returns its Result.
-// Entries are keyed by the canonical content hash (Key), not the Job
-// struct, so jobs that spell the same simulation differently — a
-// defaulted field vs. its explicit paper value — still collapse to one
-// execution.
+// execute runs (or awaits) the execution for job and returns its
+// Result. Executions are keyed by the canonical content hash (Key), not
+// the Job struct, so jobs that spell the same simulation differently —
+// a defaulted field vs. its explicit paper value — still collapse to
+// one execution.
 func (p *pool) execute(ctx context.Context, job Job, runFn RunFunc, timeout time.Duration) Result {
-	key := dedupKey(job)
-	p.mu.Lock()
-	e, dup := p.entries[key]
-	if !dup {
-		e = &entry{ready: make(chan struct{})}
-		p.entries[key] = e
-	}
-	p.mu.Unlock()
-
-	r := Result{Job: job, Cached: dup}
-	if !dup {
+	r := Result{Job: job}
+	r.Results, r.Cached, r.Err = p.runs.do(ctx, dedupKey(job), func() (*system.Results, error) {
 		start := time.Now()
 		p.met.QueueSeconds.Observe(start.Sub(p.start).Seconds())
 		p.met.Busy.Inc()
-		e.res, e.err = runJob(ctx, runFn, job, timeout)
-		e.dur = time.Since(start)
+		res, err := Exec(ctx, runFn, job, timeout)
+		r.Duration = time.Since(start)
 		p.met.Busy.Dec()
 		p.met.JobsRun.Inc()
-		p.met.JobSeconds.Observe(e.dur.Seconds())
-		close(e.ready)
-		r.Results, r.Err, r.Duration = e.res, e.err, e.dur
-	} else {
+		p.met.JobSeconds.Observe(r.Duration.Seconds())
+		return res, err
+	})
+	if r.Cached {
 		p.met.JobsDeduped.Inc()
-		select {
-		case <-e.ready:
-			r.Results, r.Err = e.res, e.err
-		case <-ctx.Done():
-			r.Err = ctx.Err()
-		}
 	}
 	p.progress(r)
 	return r
@@ -457,33 +462,18 @@ func (p *pool) progress(r Result) {
 	})
 }
 
-// runJob wraps one execution with timeout plumbing and panic recovery.
-func runJob(ctx context.Context, fn RunFunc, job Job, timeout time.Duration) (*system.Results, error) {
-	if timeout <= 0 {
-		return safeRun(ctx, fn, job)
+// Exec runs one job with panic isolation and, when timeout is
+// positive, under a context that expires after it. A panicking run
+// reports an error naming the job instead of killing the caller; a run
+// that stops because its context ended reports an error that names the
+// job and wraps the context's error. A run that ignores its context
+// runs to completion.
+func Exec(ctx context.Context, run RunFunc, job Job, timeout time.Duration) (res *system.Results, err error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	tctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	type outcome struct {
-		res *system.Results
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := safeRun(tctx, fn, job)
-		ch <- outcome{res, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-tctx.Done():
-		return nil, fmt.Errorf("sweep: job %s: %w", job, tctx.Err())
-	}
-}
-
-// safeRun converts a panicking job into an error result so one broken
-// configuration cannot take down the sweep.
-func safeRun(ctx context.Context, fn RunFunc, job Job) (res *system.Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("sweep: job %s panicked: %v", job, p)
@@ -492,5 +482,8 @@ func safeRun(ctx context.Context, fn RunFunc, job Job) (res *system.Results, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return fn(ctx, job)
+	if res, err = run(ctx, job); err != nil && ctx.Err() != nil {
+		err = fmt.Errorf("sweep: job %s: %w", job, err)
+	}
+	return res, err
 }

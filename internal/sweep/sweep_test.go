@@ -142,6 +142,9 @@ func TestPerJobTimeout(t *testing.T) {
 	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("slow job error = %v, want deadline exceeded", results[0].Err)
 	}
+	if !strings.Contains(results[0].Err.Error(), jobs[0].String()) {
+		t.Fatalf("slow job error = %v, want it to name the job %s", results[0].Err, jobs[0])
+	}
 	for _, r := range results[1:] {
 		if r.Err != nil {
 			t.Fatalf("fast job failed: %v", r.Err)
@@ -179,7 +182,11 @@ func TestParallelFasterThanSerial(t *testing.T) {
 	const jobDelay = 20 * time.Millisecond
 	jobs := distinctJobs(12)
 	run := func(ctx context.Context, j Job) (*system.Results, error) {
-		time.Sleep(jobDelay)
+		select {
+		case <-time.After(jobDelay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return stubRun(ctx, j)
 	}
 

@@ -423,61 +423,61 @@ func (c *Collector) siftDown(i int) {
 func (c *Collector) Observe(e observe.Event) {
 	switch e.Kind {
 	case observe.DemandIssued:
-		c.DemandIssued(e.L2, e.Key, e.Issued, e.At)
+		c.demandIssued(e.L2, e.Key, e.Issued, e.At)
 	case observe.DemandStart:
-		c.DemandStart(e.L2, e.Key, e.Txn, e.SwitchOn, e.At, e.CombineAt)
+		c.demandStart(e.L2, e.Key, e.Txn, e.SwitchOn, e.At, e.CombineAt)
 	case observe.DemandCombine:
 		if e.Txn != coherence.Upgrade {
-			c.DemandCombine(e.L2, e.Key, e.Out.Source, e.At)
+			c.demandCombine(e.L2, e.Key, e.Out.Source, e.At)
 		}
 	case observe.DemandSourceReady:
-		c.DemandSourceReady(e.L2, e.Key, e.At)
+		c.demandSourceReady(e.L2, e.Key, e.At)
 	case observe.DemandComplete:
-		c.DemandComplete(e.L2, e.Key, e.At)
+		c.demandComplete(e.L2, e.Key, e.At)
 	case observe.Victim:
 		if e.Action == l2.VictimQueued {
 			kind := coherence.CleanWB
 			if e.State.Dirty() {
 				kind = coherence.DirtyWB
 			}
-			c.WBQueued(e.L2, e.Key, kind, e.SwitchOn, e.At)
+			c.wbQueued(e.L2, e.Key, kind, e.SwitchOn, e.At)
 		}
 	case observe.WBReinstall:
 		// A queued entry closes here; an in-flight one closes at its
-		// bus combine (WBCancelled below).
+		// bus combine (wbCancelled below).
 		if !e.WB.InFlight {
-			c.WBCancelled(e.L2, e.Key, e.At)
+			c.wbCancelled(e.L2, e.Key, e.At)
 		}
 	case observe.WBDropped:
-		c.WBCancelled(e.L2, e.Key, e.At)
+		c.wbCancelled(e.L2, e.Key, e.At)
 	case observe.WBIssued:
-		c.WBIssued(e.L2, e.Key, e.At, e.CombineAt)
+		c.wbIssued(e.L2, e.Key, e.At, e.CombineAt)
 	case observe.WBRetry:
-		c.WBRetry(e.L2, e.Key, e.At)
+		c.wbRetry(e.L2, e.Key, e.At)
 	case observe.WBCancelled:
-		c.WBDone(e.L2, e.Key, OutWBCancelled, e.At)
+		c.wbDone(e.L2, e.Key, OutWBCancelled, e.At)
 	case observe.WBSquashed:
 		out := OutWBSquashPeer
 		if e.ByL3 {
 			out = OutWBSquashL3
 		}
-		c.WBDone(e.L2, e.Key, out, e.At)
+		c.wbDone(e.L2, e.Key, out, e.At)
 	case observe.WBSnarfed:
-		c.WBDone(e.L2, e.Key, OutWBSnarf, e.At)
+		c.wbDone(e.L2, e.Key, OutWBSnarf, e.At)
 	case observe.WBToL3:
-		c.WBToL3(e.L2, e.Key, e.At)
+		c.wbToL3(e.L2, e.Key, e.At)
 	case observe.L3Retire:
-		c.WBRetired(e.Key, e.At)
+		c.wbRetired(e.Key, e.At)
 	}
 }
 
 // --- demand hooks ---
 
-// DemandIssued opens a demand record when a miss (or upgrade-needed
+// demandIssued opens a demand record when a miss (or upgrade-needed
 // hit) allocates its MSHR: issued is the thread's original issue cycle,
 // so the frontend stage covers core-to-L2 transit, the tag probe and
 // any structural-stall backoff before the transaction could start.
-func (c *Collector) DemandIssued(l2 int, key uint64, issued, now config.Cycles) {
+func (c *Collector) demandIssued(l2 int, key uint64, issued, now config.Cycles) {
 	o := c.create(openKey{key: key, l2: int8(l2)}, now)
 	// The record starts at the thread's issue cycle, not the MSHR
 	// allocation, so the total is the latency the thread observed and
@@ -486,11 +486,11 @@ func (c *Collector) DemandIssued(l2 int, key uint64, issued, now config.Cycles) 
 	o.stages[StageFrontend] = uint64(now - issued)
 }
 
-// DemandStart records address-ring arbitration for a demand transaction
+// demandStart records address-ring arbitration for a demand transaction
 // (initial issue, upgrade restarts and post-fill ownership claims all
 // arbitrate through here; a missing record — the follow-up transaction
 // cases — opens one).
-func (c *Collector) DemandStart(l2 int, key uint64, kind coherence.TxnKind, switchOn bool, now, combineAt config.Cycles) {
+func (c *Collector) demandStart(l2 int, key uint64, kind coherence.TxnKind, switchOn bool, now, combineAt config.Cycles) {
 	k := openKey{key: key, l2: int8(l2)}
 	o, ok := c.get(k)
 	if !ok {
@@ -503,26 +503,26 @@ func (c *Collector) DemandStart(l2 int, key uint64, kind coherence.TxnKind, swit
 	o.last = combineAt
 }
 
-// DemandCombine records the combined response's chosen data source.
-func (c *Collector) DemandCombine(l2 int, key uint64, src coherence.Source, now config.Cycles) {
+// demandCombine records the combined response's chosen data source.
+func (c *Collector) demandCombine(l2 int, key uint64, src coherence.Source, now config.Cycles) {
 	if o, ok := c.get(openKey{key: key, l2: int8(l2)}); ok {
 		o.out = outcomeForSource(src)
 		o.last = now
 	}
 }
 
-// DemandSourceReady closes the source-access stage: the line is ready
+// demandSourceReady closes the source-access stage: the line is ready
 // to leave its supplier (peer L2, L3 slice or memory bank).
-func (c *Collector) DemandSourceReady(l2 int, key uint64, now config.Cycles) {
+func (c *Collector) demandSourceReady(l2 int, key uint64, now config.Cycles) {
 	if o, ok := c.get(openKey{key: key, l2: int8(l2)}); ok {
 		o.stages[StageSource] += uint64(now - o.last)
 		o.last = now
 	}
 }
 
-// DemandComplete commits a demand transaction at data delivery (fills)
+// demandComplete commits a demand transaction at data delivery (fills)
 // or at the combined response (upgrades, which move no data).
-func (c *Collector) DemandComplete(l2 int, key uint64, now config.Cycles) {
+func (c *Collector) demandComplete(l2 int, key uint64, now config.Cycles) {
 	k := openKey{key: key, l2: int8(l2)}
 	if o, ok := c.get(k); ok {
 		o.stages[StageXfer] += uint64(now - o.last)
@@ -532,19 +532,19 @@ func (c *Collector) DemandComplete(l2 int, key uint64, now config.Cycles) {
 
 // --- write-back hooks ---
 
-// WBQueued opens a write-back record when the victim enters the castout
+// wbQueued opens a write-back record when the victim enters the castout
 // queue.
-func (c *Collector) WBQueued(l2 int, key uint64, kind coherence.TxnKind, switchOn bool, now config.Cycles) {
+func (c *Collector) wbQueued(l2 int, key uint64, kind coherence.TxnKind, switchOn bool, now config.Cycles) {
 	o := c.create(openKey{key: key, l2: int8(l2), wb: true}, now)
 	o.wb = true
 	o.kind = kind
 	o.switchOn = switchOn
 }
 
-// WBIssued records a write back winning the castout machine and
+// wbIssued records a write back winning the castout machine and
 // arbitrating for the address ring. Queue wait (or, after a retry, the
 // backoff round) closes here; the arbitration stage runs to combineAt.
-func (c *Collector) WBIssued(l2 int, key uint64, now, combineAt config.Cycles) {
+func (c *Collector) wbIssued(l2 int, key uint64, now, combineAt config.Cycles) {
 	o, ok := c.get(openKey{key: key, l2: int8(l2), wb: true})
 	if !ok {
 		return
@@ -559,18 +559,18 @@ func (c *Collector) WBIssued(l2 int, key uint64, now, combineAt config.Cycles) {
 	o.last = combineAt
 }
 
-// WBRetry marks a retried combined response: cycles until the entry's
+// wbRetry marks a retried combined response: cycles until the entry's
 // next bus issue are attributed to the retry stage.
-func (c *Collector) WBRetry(l2 int, key uint64, now config.Cycles) {
+func (c *Collector) wbRetry(l2 int, key uint64, now config.Cycles) {
 	if o, ok := c.get(openKey{key: key, l2: int8(l2), wb: true}); ok {
 		o.retrying = true
 		o.last = now
 	}
 }
 
-// WBDone commits a write back that finished at its combined response
+// wbDone commits a write back that finished at its combined response
 // (squashes, snarfs, on-bus cancellations).
-func (c *Collector) WBDone(l2 int, key uint64, out Outcome, now config.Cycles) {
+func (c *Collector) wbDone(l2 int, key uint64, out Outcome, now config.Cycles) {
 	k := openKey{key: key, l2: int8(l2), wb: true}
 	if o, ok := c.get(k); ok {
 		o.out = out
@@ -578,9 +578,9 @@ func (c *Collector) WBDone(l2 int, key uint64, out Outcome, now config.Cycles) {
 	}
 }
 
-// WBCancelled commits a queued write back reclaimed by a demand access
+// wbCancelled commits a queued write back reclaimed by a demand access
 // before it reached the bus.
-func (c *Collector) WBCancelled(l2 int, key uint64, now config.Cycles) {
+func (c *Collector) wbCancelled(l2 int, key uint64, now config.Cycles) {
 	k := openKey{key: key, l2: int8(l2), wb: true}
 	if o, ok := c.get(k); ok {
 		o.stages[StageWBQueue] += uint64(now - o.last)
@@ -589,9 +589,9 @@ func (c *Collector) WBCancelled(l2 int, key uint64, now config.Cycles) {
 	}
 }
 
-// WBToL3 moves an accepted write back into the retirement-wait set; the
-// record commits at L3 array retirement (WBRetired).
-func (c *Collector) WBToL3(l2 int, key uint64, now config.Cycles) {
+// wbToL3 moves an accepted write back into the retirement-wait set; the
+// record commits at L3 array retirement (wbRetired).
+func (c *Collector) wbToL3(l2 int, key uint64, now config.Cycles) {
 	k := openKey{key: key, l2: int8(l2), wb: true}
 	o, ok := c.get(k)
 	if !ok {
@@ -603,9 +603,9 @@ func (c *Collector) WBToL3(l2 int, key uint64, now config.Cycles) {
 	c.retireWait[key] = append(c.retireWait[key], o)
 }
 
-// WBRetired commits the oldest retirement-waiting write back of key at
+// wbRetired commits the oldest retirement-waiting write back of key at
 // its L3 array write.
-func (c *Collector) WBRetired(key uint64, now config.Cycles) {
+func (c *Collector) wbRetired(key uint64, now config.Cycles) {
 	q := c.retireWait[key]
 	if len(q) == 0 {
 		return

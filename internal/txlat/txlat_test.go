@@ -36,14 +36,14 @@ func stageOf(t *testing.T, g *GroupReport, name string) StageReport {
 func TestDemandLifecycle(t *testing.T) {
 	c := New(Config{})
 	// issued at 10, MSHR allocated at 14 (frontend = 4)
-	c.DemandIssued(0, 0x100, 10, 14)
+	c.demandIssued(0, 0x100, 10, 14)
 	// bus start at 14, combined response at 40 (arb = 26)
-	c.DemandStart(0, 0x100, coherence.Read, false, 14, 40)
-	c.DemandCombine(0, 0x100, coherence.SourceL3, 40)
+	c.demandStart(0, 0x100, coherence.Read, false, 14, 40)
+	c.demandCombine(0, 0x100, coherence.SourceL3, 40)
 	// source data ready at 140 (source = 100)
-	c.DemandSourceReady(0, 0x100, 140)
+	c.demandSourceReady(0, 0x100, 140)
 	// delivered at 160 (xfer = 20)
-	c.DemandComplete(0, 0x100, 160)
+	c.demandComplete(0, 0x100, 160)
 
 	r := c.Finish(200)
 	g := findGroup(t, r, "READ", "l3", false)
@@ -86,18 +86,18 @@ func TestDemandLifecycle(t *testing.T) {
 }
 
 // TestUpgradeRestart checks that a transaction re-arbitrating (upgrade
-// restart path calls DemandStart again) accumulates arb cycles and that
+// restart path calls demandStart again) accumulates arb cycles and that
 // an upgrade completing at the combined response closes with no
 // source/xfer cycles.
 func TestUpgradeRestart(t *testing.T) {
 	c := New(Config{})
-	c.DemandIssued(1, 0x200, 0, 2)
-	c.DemandStart(1, 0x200, coherence.Read, false, 2, 10) // arb 8
+	c.demandIssued(1, 0x200, 0, 2)
+	c.demandStart(1, 0x200, coherence.Read, false, 2, 10) // arb 8
 	// retried: restarts as RWITM, re-arbitrates
-	c.DemandStart(1, 0x200, coherence.RWITM, true, 30, 44) // arb += 14
-	c.DemandCombine(1, 0x200, coherence.SourcePeerL2, 44)
-	c.DemandSourceReady(1, 0x200, 60)
-	c.DemandComplete(1, 0x200, 70)
+	c.demandStart(1, 0x200, coherence.RWITM, true, 30, 44) // arb += 14
+	c.demandCombine(1, 0x200, coherence.SourcePeerL2, 44)
+	c.demandSourceReady(1, 0x200, 60)
+	c.demandComplete(1, 0x200, 70)
 
 	r := c.Finish(100)
 	// Final kind/switch state win: RWITM with switch active.
@@ -108,8 +108,8 @@ func TestUpgradeRestart(t *testing.T) {
 
 	// A pure upgrade: start (no prior issue) then complete at combine.
 	c2 := New(Config{})
-	c2.DemandStart(0, 0x300, coherence.Upgrade, false, 5, 25)
-	c2.DemandComplete(0, 0x300, 25)
+	c2.demandStart(0, 0x300, coherence.Upgrade, false, 5, 25)
+	c2.demandComplete(0, 0x300, 25)
 	r2 := c2.Finish(50)
 	g2 := findGroup(t, r2, "UPGRADE", "none", false)
 	if g2.Total.Max != 20 {
@@ -124,12 +124,12 @@ func TestUpgradeRestart(t *testing.T) {
 // retry round, and L3 retirement.
 func TestWriteBackLifecycle(t *testing.T) {
 	c := New(Config{})
-	c.WBQueued(2, 0x400, coherence.DirtyWB, false, 100)
-	c.WBIssued(2, 0x400, 110, 130) // queue 10, arb 20
-	c.WBRetry(2, 0x400, 130)
-	c.WBIssued(2, 0x400, 180, 200) // retry 50, arb += 20
-	c.WBToL3(2, 0x400, 200)
-	c.WBRetired(0x400, 260) // wb_l3 = 60
+	c.wbQueued(2, 0x400, coherence.DirtyWB, false, 100)
+	c.wbIssued(2, 0x400, 110, 130) // queue 10, arb 20
+	c.wbRetry(2, 0x400, 130)
+	c.wbIssued(2, 0x400, 180, 200) // retry 50, arb += 20
+	c.wbToL3(2, 0x400, 200)
+	c.wbRetired(0x400, 260) // wb_l3 = 60
 
 	r := c.Finish(300)
 	g := findGroup(t, r, "DIRTY_WB", "to-l3", false)
@@ -149,16 +149,16 @@ func TestWriteBackLifecycle(t *testing.T) {
 // TestWriteBackShortPaths covers squash, snarf and cancel dispositions.
 func TestWriteBackShortPaths(t *testing.T) {
 	c := New(Config{})
-	c.WBQueued(0, 1, coherence.CleanWB, false, 0)
-	c.WBIssued(0, 1, 5, 15)
-	c.WBDone(0, 1, OutWBSquashL3, 15)
+	c.wbQueued(0, 1, coherence.CleanWB, false, 0)
+	c.wbIssued(0, 1, 5, 15)
+	c.wbDone(0, 1, OutWBSquashL3, 15)
 
-	c.WBQueued(1, 2, coherence.DirtyWB, true, 0)
-	c.WBIssued(1, 2, 3, 13)
-	c.WBDone(1, 2, OutWBSnarf, 13)
+	c.wbQueued(1, 2, coherence.DirtyWB, true, 0)
+	c.wbIssued(1, 2, 3, 13)
+	c.wbDone(1, 2, OutWBSnarf, 13)
 
-	c.WBQueued(2, 3, coherence.DirtyWB, false, 0)
-	c.WBCancelled(2, 3, 7)
+	c.wbQueued(2, 3, coherence.DirtyWB, false, 0)
+	c.wbCancelled(2, 3, 7)
 
 	r := c.Finish(20)
 	if g := findGroup(t, r, "CLEAN_WB", "squash-l3", false); g.Total.Max != 15 {
@@ -179,15 +179,15 @@ func TestWriteBackShortPaths(t *testing.T) {
 // TestRetireFIFO checks two same-key write backs retire in order.
 func TestRetireFIFO(t *testing.T) {
 	c := New(Config{})
-	c.WBQueued(0, 9, coherence.CleanWB, false, 0)
-	c.WBIssued(0, 9, 0, 10)
-	c.WBToL3(0, 9, 10)
-	c.WBQueued(1, 9, coherence.CleanWB, false, 0)
-	c.WBIssued(1, 9, 0, 20)
-	c.WBToL3(1, 9, 20)
-	c.WBRetired(9, 30) // first: l3 stage 20
-	c.WBRetired(9, 50) // second: l3 stage 30
-	c.WBRetired(9, 60) // spurious: must be a no-op
+	c.wbQueued(0, 9, coherence.CleanWB, false, 0)
+	c.wbIssued(0, 9, 0, 10)
+	c.wbToL3(0, 9, 10)
+	c.wbQueued(1, 9, coherence.CleanWB, false, 0)
+	c.wbIssued(1, 9, 0, 20)
+	c.wbToL3(1, 9, 20)
+	c.wbRetired(9, 30) // first: l3 stage 20
+	c.wbRetired(9, 50) // second: l3 stage 30
+	c.wbRetired(9, 60) // spurious: must be a no-op
 
 	r := c.Finish(100)
 	g := findGroup(t, r, "CLEAN_WB", "to-l3", false)
@@ -203,15 +203,15 @@ func TestRetireFIFO(t *testing.T) {
 // never saw open must be silently ignored.
 func TestMissingRecordsAreNoOps(t *testing.T) {
 	c := New(Config{})
-	c.DemandCombine(0, 1, coherence.SourceL3, 10)
-	c.DemandSourceReady(0, 1, 20)
-	c.DemandComplete(0, 1, 30)
-	c.WBIssued(0, 2, 5, 10)
-	c.WBRetry(0, 2, 10)
-	c.WBDone(0, 2, OutWBSnarf, 10)
-	c.WBCancelled(0, 2, 10)
-	c.WBToL3(0, 2, 10)
-	c.WBRetired(2, 20)
+	c.demandCombine(0, 1, coherence.SourceL3, 10)
+	c.demandSourceReady(0, 1, 20)
+	c.demandComplete(0, 1, 30)
+	c.wbIssued(0, 2, 5, 10)
+	c.wbRetry(0, 2, 10)
+	c.wbDone(0, 2, OutWBSnarf, 10)
+	c.wbCancelled(0, 2, 10)
+	c.wbToL3(0, 2, 10)
+	c.wbRetired(2, 20)
 	r := c.Finish(50)
 	if len(r.Groups) != 0 || len(r.Slowest) != 0 {
 		t.Errorf("expected empty report, got %+v", r)
@@ -224,9 +224,9 @@ func TestTopKReservoir(t *testing.T) {
 	c := New(Config{TopK: 3})
 	for i := uint64(1); i <= 10; i++ {
 		key := 0x1000 + i
-		c.DemandStart(0, key, coherence.Read, false, 0, config.Cycles(i))
-		c.DemandCombine(0, key, coherence.SourceMemory, config.Cycles(i))
-		c.DemandComplete(0, key, config.Cycles(10*i))
+		c.demandStart(0, key, coherence.Read, false, 0, config.Cycles(i))
+		c.demandCombine(0, key, coherence.SourceMemory, config.Cycles(i))
+		c.demandComplete(0, key, config.Cycles(10*i))
 	}
 	r := c.Finish(1000)
 	if len(r.Slowest) != 3 {
@@ -248,9 +248,9 @@ func TestWindows(t *testing.T) {
 	}
 	complete := func(key uint64, start, end config.Cycles) {
 		c.Tick(end)
-		c.DemandStart(0, key, coherence.Read, false, start, start)
-		c.DemandCombine(0, key, coherence.SourceL3, start)
-		c.DemandComplete(0, key, end)
+		c.demandStart(0, key, coherence.Read, false, start, start)
+		c.demandCombine(0, key, coherence.SourceL3, start)
+		c.demandComplete(0, key, end)
 	}
 	complete(1, 10, 50)   // window 0, latency 40
 	complete(2, 60, 120)  // window 1, latency 60
@@ -275,11 +275,11 @@ func TestWindows(t *testing.T) {
 // drop (indicates an unhooked close path).
 func TestDroppedCount(t *testing.T) {
 	c := New(Config{})
-	c.DemandIssued(0, 7, 0, 1)
-	c.DemandIssued(0, 7, 2, 3) // supersedes the first
-	c.DemandStart(0, 7, coherence.Read, false, 3, 5)
-	c.DemandCombine(0, 7, coherence.SourceL3, 5)
-	c.DemandComplete(0, 7, 9)
+	c.demandIssued(0, 7, 0, 1)
+	c.demandIssued(0, 7, 2, 3) // supersedes the first
+	c.demandStart(0, 7, coherence.Read, false, 3, 5)
+	c.demandCombine(0, 7, coherence.SourceL3, 5)
+	c.demandComplete(0, 7, 9)
 	r := c.Finish(20)
 	if r.Dropped != 1 {
 		t.Errorf("dropped = %d, want 1", r.Dropped)
@@ -290,11 +290,11 @@ func TestDroppedCount(t *testing.T) {
 // cmpsim -lat-out → cmpreport contract).
 func TestReportJSONRoundTrip(t *testing.T) {
 	c := New(Config{})
-	c.DemandIssued(0, 1, 0, 2)
-	c.DemandStart(0, 1, coherence.Read, true, 2, 12)
-	c.DemandCombine(0, 1, coherence.SourcePeerL2, 12)
-	c.DemandSourceReady(0, 1, 40)
-	c.DemandComplete(0, 1, 55)
+	c.demandIssued(0, 1, 0, 2)
+	c.demandStart(0, 1, coherence.Read, true, 2, 12)
+	c.demandCombine(0, 1, coherence.SourcePeerL2, 12)
+	c.demandSourceReady(0, 1, 40)
+	c.demandComplete(0, 1, 55)
 	run := RunLatency{Workload: "tp", Mechanism: "snarf", Outstanding: 2, Cycles: 100, Latency: c.Finish(100)}
 	data, err := json.Marshal(run)
 	if err != nil {
@@ -322,13 +322,13 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // group.
 func TestRenderersSmoke(t *testing.T) {
 	c := New(Config{Interval: 50})
-	c.DemandStart(0, 1, coherence.Read, false, 0, 10)
-	c.DemandCombine(0, 1, coherence.SourceL3, 10)
-	c.DemandComplete(0, 1, 90)
-	c.WBQueued(0, 2, coherence.DirtyWB, false, 0)
-	c.WBIssued(0, 2, 10, 20)
-	c.WBToL3(0, 2, 20)
-	c.WBRetired(2, 80)
+	c.demandStart(0, 1, coherence.Read, false, 0, 10)
+	c.demandCombine(0, 1, coherence.SourceL3, 10)
+	c.demandComplete(0, 1, 90)
+	c.wbQueued(0, 2, coherence.DirtyWB, false, 0)
+	c.wbIssued(0, 2, 10, 20)
+	c.wbToL3(0, 2, 20)
+	c.wbRetired(2, 80)
 	r := c.Finish(120)
 	for _, out := range []string{
 		r.QuantileTable("q"), r.StageBreakdown("s"), r.CriticalPath("c"),
