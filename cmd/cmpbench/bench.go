@@ -34,15 +34,6 @@ type artifactMeasurement struct {
 	AllocsPerOp  uint64  `json:"allocs_per_op"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-
-	// Round-coordinator shape for single-simulation measurements
-	// (Results.Sharding): how many rounds the run took and which
-	// constraint limited each shard-phase horizon. Deterministic, like
-	// Events.
-	Rounds            uint64 `json:"rounds,omitempty"`
-	HorizonNextGlobal uint64 `json:"horizon_next_global,omitempty"`
-	HorizonRingCredit uint64 `json:"horizon_ring_credit,omitempty"`
-	HorizonWindow     uint64 `json:"horizon_window,omitempty"`
 }
 
 type benchRun struct {
@@ -235,8 +226,7 @@ func measureBigChip() (artifactMeasurement, error) {
 }
 
 // timeRun executes one simulation and reports wall time, the
-// process-wide allocation delta, event throughput and the round
-// coordinator's shape.
+// process-wide allocation delta and event throughput.
 func timeRun(cfg cmpcache.Config, tr *cmpcache.Trace) (artifactMeasurement, error) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
@@ -248,13 +238,7 @@ func timeRun(cfg cmpcache.Config, tr *cmpcache.Trace) (artifactMeasurement, erro
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
-	m := measurement(elapsed, m1.Mallocs-m0.Mallocs, res.EventsFired)
-	sh := res.Sharding
-	m.Rounds = sh.Rounds
-	m.HorizonNextGlobal = sh.HorizonNextGlobal
-	m.HorizonRingCredit = sh.HorizonRingCredit
-	m.HorizonWindow = sh.HorizonWindow
-	return m, nil
+	return measurement(elapsed, m1.Mallocs-m0.Mallocs, res.EventsFired), nil
 }
 
 func measurement(elapsed time.Duration, allocs, events uint64) artifactMeasurement {
@@ -266,13 +250,8 @@ func measurement(elapsed time.Duration, allocs, events uint64) artifactMeasureme
 	}
 }
 
-// printMeasurement renders one stderr progress row, with the round
-// count when the measurement recorded one.
+// printMeasurement renders one stderr progress row.
 func printMeasurement(name string, m artifactMeasurement) {
-	fmt.Fprintf(os.Stderr, "%-18s %12d ns/op %10d allocs/op %12.0f events/s",
+	fmt.Fprintf(os.Stderr, "%-18s %12d ns/op %10d allocs/op %12.0f events/s\n",
 		name, m.NsPerOp, m.AllocsPerOp, m.EventsPerSec)
-	if m.Rounds > 0 {
-		fmt.Fprintf(os.Stderr, " rounds=%d", m.Rounds)
-	}
-	fmt.Fprintln(os.Stderr)
 }

@@ -96,13 +96,6 @@ func OpenTraceDir(path string) (*ShardedTrace, error) { return trace.OpenSharded
 // metrics behind each of the paper's tables.
 type Results = system.Results
 
-// ShardingStats is the round-coordinator record in Results.Sharding:
-// how many rounds the event loop ran, how many ran a shard phase, and
-// why each shard-phase horizon was limited (next global event, ring
-// credit, or observability window). The counters are deterministic for
-// a given run and its observers, and stay out of Results JSON.
-type ShardingStats = system.ShardingStats
-
 // WorkloadProfile describes a synthetic workload; see
 // internal/workload.Profile for the region mixture model.
 type WorkloadProfile = workload.Profile

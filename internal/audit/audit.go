@@ -126,9 +126,9 @@ type Auditor struct {
 	supplierlessSweeps uint64 // sweeps observing an S-only sharer set
 }
 
-// holderMask packs per-L2 holder bits for one key during a sweep
-// (supports up to 64 L2 caches; the paper's chip has 4, and scaled
-// big-core configs reach 16-32).
+// holderMask packs per-L2 holder bits for one key during a sweep: one
+// bit per L2, which config.Validate's config.MaxL2s = 64 limit makes
+// enough (the paper's chip has 4).
 type holderMask struct {
 	valid uint64
 	dirty uint64 // M or T
@@ -169,9 +169,6 @@ func (a *Auditor) Bind(v View) {
 
 // Tick does nothing: the auditor has no sampling windows.
 func (a *Auditor) Tick(config.Cycles) {}
-
-// NextBoundary returns observe.NoBoundary.
-func (a *Auditor) NextBoundary() config.Cycles { return observe.NoBoundary }
 
 // report records one violation, deduplicated by (kind, key).
 func (a *Auditor) report(kind string, key uint64, format string, args ...any) {

@@ -379,6 +379,11 @@ func (c Config) MemLatency() Cycles {
 	return c.CombinedResponseLatency() + c.MemSourceLatency
 }
 
+// MaxL2s is the largest number of L2 caches a chip may have: the
+// invariant auditor packs per-L2 holder bits into 64-bit masks, and
+// each L2's front end is one lane of the system's event engine.
+const MaxL2s = 64
+
 // Validate reports the first structural inconsistency in the
 // configuration, or nil when it is usable.
 func (c Config) Validate() error {
@@ -389,6 +394,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: ThreadsPerCore = %d, must be positive", c.ThreadsPerCore)
 	case c.CoresPerL2 <= 0 || c.Cores%c.CoresPerL2 != 0:
 		return fmt.Errorf("config: CoresPerL2 = %d must evenly divide Cores = %d", c.CoresPerL2, c.Cores)
+	case c.NumL2() > MaxL2s:
+		return fmt.Errorf("config: Cores/CoresPerL2 = %d L2 caches, at most %d supported", c.NumL2(), MaxL2s)
 	case c.LineBytes <= 0 || bits.OnesCount(uint(c.LineBytes)) != 1:
 		return fmt.Errorf("config: LineBytes = %d, must be a positive power of two", c.LineBytes)
 	case c.L2Slices <= 0 || bits.OnesCount(uint(c.L2Slices)) != 1:

@@ -125,6 +125,27 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateL2Limit: a chip may have up to MaxL2s = 64 L2 caches;
+// one more is rejected with a message naming the limit.
+func TestValidateL2Limit(t *testing.T) {
+	c := Default()
+	c.Cores = MaxL2s * c.CoresPerL2
+	if c.NumL2() != 64 {
+		t.Fatalf("NumL2 = %d, want 64", c.NumL2())
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("64 L2s rejected: %v", err)
+	}
+	c.Cores += c.CoresPerL2
+	err := c.Validate()
+	if err == nil {
+		t.Fatal("65 L2s accepted")
+	}
+	if !strings.Contains(err.Error(), "at most 64") {
+		t.Fatalf("error %q does not name the 64-L2 limit", err)
+	}
+}
+
 func TestValidateTableShapes(t *testing.T) {
 	c := Default().WithMechanism(WBHT)
 	c.WBHT.Entries = 1000 // 1000/16 is not a power-of-two set count

@@ -83,10 +83,9 @@ func (s *RetrySwitch) advance(now config.Cycles) {
 }
 
 // AdvanceTo rolls the sampling window forward to cover now without
-// recording anything. The round coordinator calls it once per round so
-// that shard-context consumers can read ActiveNow — the pure form —
-// instead of the mutating Active, keeping the window sequence a function
-// of round boundaries rather than of which shard happened to ask first.
+// recording anything. The system's event loop calls it before every
+// event, so consumers read ActiveNow — the pure form — and the window
+// sequence is a function of event times alone.
 func (s *RetrySwitch) AdvanceTo(now config.Cycles) {
 	if s.window == 0 {
 		return

@@ -50,10 +50,10 @@ type thread struct {
 	finish    config.Cycles
 }
 
-// Complex is the full set of hardware threads bound to an engine and an
-// issue path.
+// Complex is the full set of hardware threads bound to an engine lane
+// and an issue path.
 type Complex struct {
-	engine    *sim.Engine
+	lane      sim.Lane
 	issue     IssueFunc
 	threads   []thread
 	lineShift uint
@@ -76,12 +76,12 @@ type Complex struct {
 // panics — the simulation cannot meaningfully continue on a truncated
 // stream, and the sweep worker's recover converts the panic into a
 // per-job error.
-func NewStreams(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
+func NewStreams(lane sim.Lane, cfg *config.Config, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
 	if issue == nil {
 		panic("cpu: nil issue function")
 	}
 	c := &Complex{
-		engine:    engine,
+		lane:      lane,
 		issue:     issue,
 		threads:   make([]thread, len(streams)),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
@@ -131,7 +131,7 @@ func (c *Complex) refill(th *thread) bool {
 func (c *Complex) Start() {
 	for i := range c.threads {
 		if th := &c.threads[i]; !th.done {
-			c.engine.ScheduleCall(0, c.hTryIssue, sim.EventData{Ptr: th})
+			c.lane.ScheduleCall(0, c.hTryIssue, sim.EventData{Ptr: th})
 		}
 	}
 }
@@ -141,7 +141,7 @@ func (c *Complex) Start() {
 // eligible time or waits for a completion to wake it.
 func (c *Complex) tryIssue(th *thread) {
 	th.wakePending = false
-	now := c.engine.Now()
+	now := c.lane.Now()
 	for th.outstanding < c.max {
 		if th.idx == len(th.recs) && !c.refill(th) {
 			break
@@ -151,7 +151,7 @@ func (c *Complex) tryIssue(th *thread) {
 		if eligible > now {
 			if !th.wakePending {
 				th.wakePending = true
-				c.engine.AtCall(eligible, c.hTryIssue, sim.EventData{Ptr: th})
+				c.lane.AtCall(eligible, c.hTryIssue, sim.EventData{Ptr: th})
 			}
 			return
 		}
@@ -161,7 +161,7 @@ func (c *Complex) tryIssue(th *thread) {
 		th.lastIssue = now
 		key := r.Addr >> c.lineShift
 		c.issue(th.id, r.Op, key, th.doneFn)
-		now = c.engine.Now() // issue may run nested events
+		now = c.lane.Now() // issue may run nested events
 	}
 	c.checkDone(th, now)
 }

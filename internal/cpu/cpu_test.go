@@ -44,7 +44,7 @@ func feed(t *testing.T, e *sim.Engine, cfg *config.Config, recs [][]trace.Record
 			streams[i] = &chunkStream{recs: r, size: size}
 		}
 	}
-	c, err := NewStreams(e, cfg, streams, issue)
+	c, err := NewStreams(e.Lane(0), cfg, streams, issue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNilIssuePanics(t *testing.T) {
 			t.Fatal("nil issue accepted")
 		}
 	}()
-	NewStreams(sim.NewEngine(), &cfg, nil, nil)
+	NewStreams(sim.NewEngine().Lane(0), &cfg, nil, nil)
 }
 
 func TestL1FilterAbsorbsHits(t *testing.T) {

@@ -12,13 +12,12 @@
 // Snapshot. The probe differences consecutive snapshots at each window
 // close, so the simulation's own hot paths carry no extra arithmetic.
 //
-// Sampling is driven by the round coordinator's boundary tick, not by
-// scheduled sampler events: a probe therefore never changes the event
-// sequence, Results.EventsFired, or any simulated outcome. A window
-// [start, end) closes at the first round boundary that reaches end, and
-// the sampled state is exactly the state after all events strictly
-// before end — deterministic for a fixed workload, independent of wall
-// clock.
+// Sampling is driven by the system's per-event Tick, not by scheduled
+// sampler events: a probe therefore never changes the event sequence,
+// Results.EventsFired, or any simulated outcome. A window [start, end)
+// closes just before the first event at or after end fires, so the
+// sampled state is exactly the state after all events strictly before
+// end — deterministic for a fixed workload, independent of wall clock.
 package metrics
 
 import (
@@ -173,14 +172,6 @@ func (p *Probe) Tick(now config.Cycles) {
 		p.close(p.nextClose)
 	}
 }
-
-// NextBoundary returns the end of the currently open window — the
-// earliest cycle at which a Tick would close a sample. The round
-// coordinator caps each round's horizon strictly below it so every event
-// preceding the boundary has fired before the window closes, preserving
-// the sampling contract ("state after all events strictly before
-// end").
-func (p *Probe) NextBoundary() config.Cycles { return p.nextClose }
 
 // close emits the window ending at end and arms the next one.
 func (p *Probe) close(end config.Cycles) {

@@ -2,7 +2,7 @@
 // system calls every attached Observer with the same typed
 // transaction-lifecycle events — demand misses from issue to delivery,
 // victims, write backs from queue to disposition, L3 retirements — and
-// drives their sampling windows from the round coordinator. The metrics
+// drives their sampling windows from its event loop. The metrics
 // probe (with its event trace), the invariant auditor and the latency
 // collector all implement it, so a new observer needs no hook sites in
 // the system.
@@ -16,31 +16,23 @@
 package observe
 
 import (
-	"math"
-
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
 )
 
-// Observer receives one run's events. Events arrive in simulated-time
-// order per L2; events raised on a shard wheel reach observers at the
-// round barrier, in canonical (time, shard) order.
+// Observer receives one run's events, in the order the system's
+// engine fires them: by cycle, then L2 front ends in L2 order, then
+// the bus.
 type Observer interface {
 	// Observe receives one event.
 	Observe(e Event)
-	// Tick closes every window that ends at or before now. The round
-	// coordinator calls it at each round boundary, before any event at
-	// now fires.
+	// Tick closes every window that ends at or before now. The system
+	// calls it before each event, with the event's cycle, so a window
+	// closes after every event before its end has fired and before any
+	// event at or after it.
 	Tick(now config.Cycles)
-	// NextBoundary returns the end of the open window, or NoBoundary.
-	// No round runs across it, so a window closes only after every
-	// event before its end has fired.
-	NextBoundary() config.Cycles
 }
-
-// NoBoundary is the NextBoundary of an observer without windows.
-const NoBoundary config.Cycles = math.MaxInt64
 
 // Kind names an event.
 type Kind uint8

@@ -40,13 +40,6 @@ func (r *Ring) ReserveAddress(now config.Cycles) config.Cycles {
 	return r.addr.Reserve(now, r.addrOcc)
 }
 
-// AddressNextFree returns the cycle at which the address ring's
-// arbitration pipeline next becomes idle. Observation only — the
-// sharded coordinator folds it into its round horizon so that a bus
-// request posted anywhere in a round combines no earlier than the
-// horizon itself.
-func (r *Ring) AddressNextFree() config.Cycles { return r.addr.NextFree() }
-
 // ReserveData books a line transfer on whichever direction of the data
 // ring frees up first, returning the transfer's start cycle. The
 // returned completion is start + DataOccupancy.

@@ -2,9 +2,12 @@
 // small set of queued-resource models (single servers, multi-servers and
 // finite token queues) used by every timed component in the simulator.
 //
-// Time is measured in integer core cycles. Events scheduled for the same
-// cycle fire in FIFO order of scheduling, which keeps simulations
-// deterministic for a fixed input.
+// Time is measured in integer core cycles. Events are ordered by
+// (cycle, lane, scheduling order): every event belongs to a lane, events
+// of one cycle fire in lane order, and within a lane in FIFO order of
+// scheduling. That total order keeps simulations deterministic for a
+// fixed input. Events scheduled on the Engine itself take the last
+// lane, after every Lane view's events of the same cycle.
 //
 // The engine's hot path is allocation-free in steady state: the pending
 // set is an inlined 4-ary min-heap specialized to the event record (no
@@ -49,17 +52,33 @@ type EventData struct {
 	Flag bool
 }
 
+// Lanes: the top laneBits bits of an event's seq word hold its lane,
+// the rest a scheduling counter, so comparing seq words orders
+// same-cycle events by lane first and FIFO within a lane. The counter's
+// 56 bits outlast any run (2^56 events).
+const (
+	laneBits  = 8
+	laneShift = 64 - laneBits
+
+	// MaxLanes is the number of Lane views an engine offers, numbered
+	// 0..MaxLanes-1. The engine's own scheduling calls use lane
+	// MaxLanes, after all of them.
+	MaxLanes = 1<<laneBits - 1
+
+	defaultLane = uint64(MaxLanes) << laneShift
+)
+
 // scheduledEvent is one pending queue entry. Events are stored by value
 // in the heap; nothing is boxed.
 type scheduledEvent struct {
 	at  Time
-	seq uint64 // tie-breaker: FIFO among same-cycle events
+	seq uint64 // tie-breaker: lane, then FIFO, among same-cycle events
 	h   Handler
 	d   EventData
 }
 
-// before orders events by (time, scheduling sequence) — the total order
-// every queue implementation must reproduce exactly.
+// before orders events by (time, lane, scheduling sequence) — the total
+// order every queue implementation must reproduce exactly.
 func (a *scheduledEvent) before(b *scheduledEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -77,11 +96,6 @@ type Engine struct {
 	events  []scheduledEvent // 4-ary min-heap ordered by before()
 	stopped bool
 	fired   uint64
-
-	// tick, when non-nil, observes every event's timestamp just before
-	// its handler runs (the metrics probe's window clock). Observation
-	// only: it must not schedule events or mutate simulation state.
-	tick func(Time)
 }
 
 // NewEngine returns an empty engine positioned at cycle zero.
@@ -92,12 +106,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// SetTick installs fn as the per-event time observer (nil uninstalls
-// it). fn sees each event's timestamp after Now has advanced to it and
-// before the event's handler executes, so a sampler driven by it reads
-// the state the simulation had strictly before the observed cycle.
-func (e *Engine) SetTick(fn func(Time)) { e.tick = fn }
 
 // Grow pre-sizes the pending-event queue to hold at least n events
 // without reallocating, avoiding growth copies mid-run.
@@ -138,15 +146,50 @@ func (e *Engine) ScheduleCall(delay Time, h Handler, d EventData) {
 
 // AtCall runs h with d at the absolute cycle t, which must not precede
 // Now. This is the allocation-free scheduling primitive.
-func (e *Engine) AtCall(t Time, h Handler, d EventData) {
+func (e *Engine) AtCall(t Time, h Handler, d EventData) { e.atCall(t, defaultLane, h, d) }
+
+// atCall queues h with d at cycle t on the lane whose bits are lane.
+func (e *Engine) atCall(t Time, lane uint64, h Handler, d EventData) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%d) before now (%d)", t, e.now))
 	}
 	if h == nil {
 		panic("sim: nil event handler")
 	}
-	e.push(scheduledEvent{at: t, seq: e.seq, h: h, d: d})
+	e.push(scheduledEvent{at: t, seq: lane | e.seq, h: h, d: d})
 	e.seq++
+}
+
+// Lane is a view of an engine that schedules onto one lane. Its events
+// share the engine's clock and queue; at equal cycles they fire after
+// lower lanes' events and before higher lanes' (and the engine's own).
+type Lane struct {
+	e    *Engine
+	bits uint64
+}
+
+// Lane returns the view that schedules onto lane i, 0 <= i < MaxLanes.
+func (e *Engine) Lane(i int) Lane {
+	if i < 0 || i >= MaxLanes {
+		panic(fmt.Sprintf("sim: lane %d outside [0, %d)", i, MaxLanes))
+	}
+	return Lane{e: e, bits: uint64(i) << laneShift}
+}
+
+// Now returns the engine's current simulation time.
+func (l Lane) Now() Time { return l.e.now }
+
+// AtCall runs h with d at the absolute cycle t on this lane. t must not
+// precede Now.
+func (l Lane) AtCall(t Time, h Handler, d EventData) { l.e.atCall(t, l.bits, h, d) }
+
+// ScheduleCall runs h with d after delay cycles on this lane. A
+// negative delay panics.
+func (l Lane) ScheduleCall(delay Time, h Handler, d EventData) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: scheduling %d cycles in the past", -delay))
+	}
+	l.e.atCall(l.e.now+delay, l.bits, h, d)
 }
 
 // Pending reports the number of events waiting to fire. The event whose
@@ -156,8 +199,7 @@ func (e *Engine) AtCall(t Time, h Handler, d EventData) {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // NextTime returns the timestamp of the earliest pending event, or
-// Forever when the queue is empty. It never fires or reorders anything;
-// coordinators use it to bound how far a wheel may safely run.
+// Forever when the queue is empty. It never fires or reorders anything.
 func (e *Engine) NextTime() Time {
 	if len(e.events) == 0 {
 		return Forever
@@ -165,30 +207,14 @@ func (e *Engine) NextTime() Time {
 	return e.events[0].at
 }
 
-// AdvanceTo moves the clock forward to t without firing events. t must
-// not precede Now and must not skip over a pending event — the past
-// stays immutable and no event may be jumped. The sharded coordinator
-// uses it to keep parked shard wheels in step with the global wheel, so
-// handlers invoked synchronously from global events (waiter wake-ups)
-// read the correct Now.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: AdvanceTo(%d) before now (%d)", t, e.now))
-	}
-	if len(e.events) > 0 && e.events[0].at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%d) would skip event at %d", t, e.events[0].at))
-	}
-	e.now = t
-}
-
-// Stop makes the current Run, RunUntil or Step-driven loop observe the
-// stop after the currently executing event's handler returns. Calling
-// it from inside an event handler is the intended use (a watchdog or
-// deadline event halting its own run); calling it between runs is a
-// no-op because Run and RunUntil both clear the flag on entry. Stop
-// never discards events: everything still pending (including events the
-// stopping handler itself scheduled) remains queued and a subsequent
-// Run/RunUntil resumes exactly where the stopped one left off.
+// Stop makes the current Run observe the stop after the currently
+// executing event's handler returns. Calling it from inside an event
+// handler is the intended use (a watchdog or deadline event halting its
+// own run); calling it between runs is a no-op because Run clears the
+// flag on entry. Stop never discards events: everything still pending
+// (including events the stopping handler itself scheduled) remains
+// queued and a subsequent Run resumes exactly where the stopped one
+// left off.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event and reports whether one
@@ -200,9 +226,6 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.fired++
-	if e.tick != nil {
-		e.tick(ev.at)
-	}
 	ev.h(ev.d)
 	return true
 }
@@ -212,20 +235,6 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for !e.stopped && e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps not exceeding deadline. Events
-// scheduled beyond the deadline remain pending. It returns the final
-// simulation time, which never exceeds deadline.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if e.now > deadline {
-		panic("sim: time ran past deadline") // unreachable: guarded above
 	}
 	return e.now
 }

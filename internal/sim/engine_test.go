@@ -127,26 +127,6 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{2, 4, 6, 8} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(5)
-	if len(fired) != 2 || fired[0] != 2 || fired[1] != 4 {
-		t.Fatalf("fired = %v, want [2 4]", fired)
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("after full Run fired = %v, want 4 events", fired)
-	}
-}
-
 func TestEngineMonotonicTime(t *testing.T) {
 	// Property: regardless of the (delay) sequence scheduled, observed
 	// firing times never decrease.
@@ -221,16 +201,17 @@ func TestEngineGrow(t *testing.T) {
 	}
 }
 
-// --- Reference queue: the exact pre-rewrite container/heap semantics ---
+// --- Reference queue: container/heap over the (at, lane, seq) order ---
 //
-// refEvent/refQueue reimplement the old engine's event queue verbatim —
-// container/heap over an (at, seq)-ordered slice — as the ordering
-// oracle the specialized 4-ary heap must match event for event.
+// refEvent/refQueue are a plain container/heap over explicit
+// (at, lane, seq) triples — the ordering oracle the specialized 4-ary
+// heap with its lane-packed seq word must match event for event.
 
 type refEvent struct {
-	at  Time
-	seq uint64
-	id  int
+	at   Time
+	lane int
+	seq  uint64
+	id   int
 }
 
 type refQueue []refEvent
@@ -240,6 +221,9 @@ func (h refQueue) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
+	if h[i].lane != h[j].lane {
+		return h[i].lane < h[j].lane
+	}
 	return h[i].seq < h[j].seq
 }
 func (h refQueue) Swap(i, j int)     { h[i], h[j] = h[j], h[i] }
@@ -248,77 +232,162 @@ func (h *refQueue) Pop() any         { old := *h; n := len(old); ev := old[n-1];
 func (h *refQueue) popMin() refEvent { return heap.Pop(h).(refEvent) }
 func (h *refQueue) add(ev refEvent)  { heap.Push(h, ev) }
 
-// TestEngineMatchesReferenceQueue drives the engine and the reference
-// queue with identical randomized schedules — including events that
-// schedule further events — and asserts the firing order, firing times,
-// Fired() count and final Now() are identical. This is the bit-exact
-// determinism contract every experiment golden rests on: same-cycle
-// events fire in FIFO scheduling order.
+// TestEngineMatchesReferenceQueue runs one randomized schedule on the
+// engine and as a reference simulation over the container/heap queue:
+// events on random lanes (the engine's own included), some scheduling
+// children — on lower lanes of the same cycle too. The firing order,
+// firing times, Fired() count and final Now() must be identical. This
+// is the bit-exact determinism contract every experiment golden rests
+// on: same-cycle events fire in lane order, and in FIFO scheduling
+// order within a lane.
 func TestEngineMatchesReferenceQueue(t *testing.T) {
+	type sched struct {
+		lane  int // MaxLanes: the engine's own
+		delay Time
+	}
+	// Lanes mix low, high and the engine's own, so packed lane bits of
+	// every width take part in the comparison.
+	lanes := []int{0, 1, 2, 3, 63, MaxLanes - 1, MaxLanes}
+	// Some events schedule children; the plan is a function of the
+	// parent id so both simulations agree.
+	children := func(id int) []sched {
+		if id%3 != 0 {
+			return nil
+		}
+		return []sched{{lanes[id%len(lanes)], Time(id % 7)}, {lanes[(id/3)%len(lanes)], Time(id % 11)}}
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		roots := make([]sched, 200)
+		for i := range roots {
+			roots[i] = sched{lanes[rng.Intn(len(lanes))], Time(rng.Intn(50))}
+		}
+
 		e := NewEngine()
-		ref := refQueue{}
-		var refSeq uint64
-		nextID := 0
-
-		var engineOrder, refOrder []int
+		var engineOrder []int
 		var engineTimes []Time
-
-		// Some events reschedule children; the child plan is derived
-		// deterministically from the parent id so both sides agree.
-		children := func(id int) []Time {
-			if id%3 != 0 {
-				return nil
-			}
-			return []Time{Time(id % 7), Time(id % 11)}
-		}
+		nextID := 0
 		var h Handler
-		h = func(d EventData) {
-			id := int(d.Key)
-			engineOrder = append(engineOrder, id)
-			engineTimes = append(engineTimes, e.Now())
-			for _, delay := range children(id) {
-				e.ScheduleCall(delay, h, EventData{Key: uint64(nextID)})
-				ref.add(refEvent{at: e.Now() + delay, seq: refSeq, id: nextID})
-				refSeq++
-				nextID++
+		schedule := func(c sched) {
+			d := EventData{Key: uint64(nextID)}
+			nextID++
+			if c.lane == MaxLanes {
+				e.ScheduleCall(c.delay, h, d)
+			} else {
+				e.Lane(c.lane).ScheduleCall(c.delay, h, d)
 			}
 		}
-
-		for i := 0; i < 200; i++ {
-			delay := Time(rng.Intn(50))
-			e.ScheduleCall(delay, h, EventData{Key: uint64(nextID)})
-			ref.add(refEvent{at: delay, seq: refSeq, id: nextID})
-			refSeq++
-			nextID++
+		h = func(d EventData) {
+			engineOrder = append(engineOrder, int(d.Key))
+			engineTimes = append(engineTimes, e.Now())
+			for _, c := range children(int(d.Key)) {
+				schedule(c)
+			}
+		}
+		for _, c := range roots {
+			schedule(c)
 		}
 		e.Run()
 
-		// Drain the reference queue in its (container/heap) order. The
-		// reference's firing times also must match the engine's.
-		for i := 0; ref.Len() > 0; i++ {
+		ref := refQueue{}
+		var now Time
+		var seq uint64
+		refID := 0
+		add := func(c sched) {
+			ref.add(refEvent{at: now + c.delay, lane: c.lane, seq: seq, id: refID})
+			seq++
+			refID++
+		}
+		for _, c := range roots {
+			add(c)
+		}
+		var refOrder []int
+		var refTimes []Time
+		for ref.Len() > 0 {
 			ev := ref.popMin()
+			now = ev.at
 			refOrder = append(refOrder, ev.id)
-			if i < len(engineTimes) && engineTimes[i] != ev.at {
-				t.Fatalf("seed %d: event %d fired at %d, reference says %d",
-					seed, i, engineTimes[i], ev.at)
+			refTimes = append(refTimes, ev.at)
+			for _, c := range children(ev.id) {
+				add(c)
 			}
 		}
+
 		if len(engineOrder) != len(refOrder) {
 			t.Fatalf("seed %d: engine fired %d events, reference %d",
 				seed, len(engineOrder), len(refOrder))
 		}
 		for i := range refOrder {
-			if engineOrder[i] != refOrder[i] {
-				t.Fatalf("seed %d: firing order diverges at event %d: engine %d, reference %d",
-					seed, i, engineOrder[i], refOrder[i])
+			if engineOrder[i] != refOrder[i] || engineTimes[i] != refTimes[i] {
+				t.Fatalf("seed %d: event %d: engine fired %d at %d, reference %d at %d",
+					seed, i, engineOrder[i], engineTimes[i], refOrder[i], refTimes[i])
 			}
 		}
 		if e.Fired() != uint64(len(refOrder)) {
 			t.Fatalf("seed %d: Fired = %d, want %d", seed, e.Fired(), len(refOrder))
 		}
+		if e.Now() != now {
+			t.Fatalf("seed %d: Now = %d after drain, want %d", seed, e.Now(), now)
+		}
 	}
+}
+
+// TestEngineLaneOrder: events of one cycle fire in lane order — the
+// engine's own lane last — whatever order they were scheduled in, and
+// in FIFO scheduling order within each lane; an earlier cycle still
+// fires first whatever its lane.
+func TestEngineLaneOrder(t *testing.T) {
+	e := NewEngine()
+	type fired struct{ lane, n int }
+	var got []fired
+	h := func(d EventData) { got = append(got, fired{int(d.Aux), int(d.Key)}) }
+	for n := 0; n < 3; n++ {
+		for _, lane := range []int{MaxLanes, 2, 0, 1} {
+			d := EventData{Aux: int64(lane), Key: uint64(n)}
+			if lane == MaxLanes {
+				e.AtCall(5, h, d)
+			} else {
+				e.Lane(lane).AtCall(5, h, d)
+			}
+		}
+	}
+	e.AtCall(4, h, EventData{Aux: MaxLanes, Key: 9})
+	e.Run()
+	want := []fired{{MaxLanes, 9}}
+	for _, lane := range []int{0, 1, 2, MaxLanes} {
+		for n := 0; n < 3; n++ {
+			want = append(want, fired{lane, n})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	if e.Lane(1).Now() != 5 {
+		t.Fatalf("Lane.Now = %d, want the engine's 5", e.Lane(1).Now())
+	}
+}
+
+// TestEngineLaneBounds: lanes outside [0, MaxLanes) panic, as does a
+// lane scheduling into the past.
+func TestEngineLaneBounds(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	mustPanic("Lane(-1)", func() { e.Lane(-1) })
+	mustPanic("Lane(MaxLanes)", func() { e.Lane(MaxLanes) })
+	mustPanic("negative lane delay", func() { e.Lane(0).ScheduleCall(-1, func(EventData) {}, EventData{}) })
 }
 
 // TestEngineSameCycleFIFOProperty: for any batch sizes, events scheduled
@@ -350,20 +419,24 @@ func TestEngineSameCycleFIFOProperty(t *testing.T) {
 }
 
 // TestEngineScheduleStepAllocationFree is the hot-path contract: once
-// the queue slice has its capacity, ScheduleCall+Step cycles allocate
-// nothing — no interface boxing, no closure, no growth.
+// the queue slice has its capacity, scheduling (on the engine and
+// through a Lane view) and stepping allocate nothing — no interface
+// boxing, no closure, no growth.
 func TestEngineScheduleStepAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	e := NewEngine()
 	e.Grow(64)
+	lane := e.Lane(3)
 	var sink uint64
 	h := func(d EventData) { sink += d.Key }
 	arg := &sink // a live pointer payload, as real handlers carry
 	avg := testing.AllocsPerRun(1000, func() {
 		e.ScheduleCall(1, h, EventData{Ptr: arg, Key: 1})
-		e.ScheduleCall(2, h, EventData{Ptr: arg, Key: 2})
+		lane.AtCall(lane.Now()+2, h, EventData{Ptr: arg, Key: 2})
+		lane.ScheduleCall(2, h, EventData{Ptr: arg, Key: 3})
+		e.Step()
 		e.Step()
 		e.Step()
 	})
@@ -384,8 +457,11 @@ func TestEngineDeepQueueAllocationFree(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		e.ScheduleCall(Time(1+i%97), h, EventData{Key: uint64(i)})
 	}
+	lane := e.Lane(1)
 	avg := testing.AllocsPerRun(500, func() {
 		e.ScheduleCall(Time(1+e.Now()%89), h, EventData{})
+		lane.AtCall(e.Now()+Time(1+e.Now()%83), h, EventData{})
+		e.Step()
 		e.Step()
 	})
 	if avg != 0 {
@@ -431,56 +507,5 @@ func TestEngineStopInsideHandlerResumes(t *testing.T) {
 	}
 	if nt := e.NextTime(); nt != Forever {
 		t.Fatalf("NextTime on empty wheel = %d, want Forever", nt)
-	}
-}
-
-// TestEngineStopInsideRunUntil: the same contract under a deadline.
-func TestEngineStopInsideRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(3, func() { count++; e.Stop() })
-	e.Schedule(4, func() { count++ })
-	e.Schedule(9, func() { count++ })
-	if at := e.RunUntil(6); at != 3 {
-		t.Fatalf("stopped RunUntil returned %d, want 3", at)
-	}
-	if count != 1 || e.Pending() != 2 {
-		t.Fatalf("after stop: count %d pending %d, want 1 and 2", count, e.Pending())
-	}
-	if at := e.RunUntil(6); at != 4 || count != 2 {
-		t.Fatalf("resume ran to %d with count %d, want 4 and 2 (event at 9 past deadline)", at, count)
-	}
-}
-
-// TestEngineAdvanceTo pins the clock-only advance used by the sharded
-// coordinator: time moves without firing, never backward, and never
-// over a pending event.
-func TestEngineAdvanceTo(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.Schedule(10, func() { fired = true })
-	e.AdvanceTo(7)
-	if e.Now() != 7 || fired {
-		t.Fatalf("AdvanceTo(7): now %d fired %v, want 7 and false", e.Now(), fired)
-	}
-	e.AdvanceTo(7) // idempotent at the same instant
-	e.AdvanceTo(10)
-	if fired {
-		t.Fatal("AdvanceTo(10) fired the event at 10; it must only move the clock")
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("backward AdvanceTo", func() { e.AdvanceTo(9) })
-	mustPanic("event-skipping AdvanceTo", func() { e.AdvanceTo(11) })
-	e.Run()
-	if !fired || e.Now() != 10 {
-		t.Fatalf("drain after AdvanceTo: fired %v now %d, want true and 10", fired, e.Now())
 	}
 }

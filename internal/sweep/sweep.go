@@ -5,7 +5,7 @@
 // Every evaluation artifact in the paper (Figures 2-7, Tables 1-5) is a
 // sweep over independent configurations — workloads x mechanisms x
 // outstanding-miss counts x table sizes. Each simulation runs on one
-// goroutine (see internal/system's round coordinator); this package
+// goroutine over one event engine (see internal/system); this package
 // supplies the concurrency *between* runs:
 //
 //   - a Job/Result model with a Plan builder that expands grids;

@@ -13,7 +13,6 @@ import (
 // steady state an access consumes no allocations from issue to the
 // latency observation at completion.
 type pendingAccess struct {
-	sh      *shard
 	key     uint64
 	issued  config.Cycles
 	done    func(config.Cycles) // thread completion (cpu doneFn)
@@ -27,10 +26,9 @@ type pendingAccess struct {
 }
 
 // startDemand arbitrates for the address ring at cycle now and
-// schedules the transaction's combined-response event. Global context
-// only: shard context posts a busPost instead, and the barrier calls
-// this with the post's own cycle — so a request arbitrates at the same
-// time whether it was raised serially or on a shard wheel.
+// schedules the transaction's combined-response event on the bus lane.
+// Requests raised in one cycle arbitrate in the order their events
+// fire: L2 front ends in L2 order, then bus-lane restarts.
 func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind, now config.Cycles) {
 	s.demandTxns++
 	slot := s.ring.ReserveAddress(now)
@@ -48,9 +46,9 @@ func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind,
 // state (including victim handling) updates. Data movement is scheduled
 // onto the ring and source resources and completes the waiters later.
 //
-// Combine events fire only in the coordinator's serial phase, after
-// every shard wheel has drained strictly past this cycle — so the tag
-// state a snoop observes is exactly the state at the combine cycle.
+// Combine events fire on the bus lane, after every front-end event of
+// the same cycle — so the tag state a snoop observes is exactly the
+// state at the combine cycle.
 func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKind) {
 	now := s.engine.Now()
 	isLoad := kind == coherence.Read
@@ -205,7 +203,7 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 	st := fillState(kind, out)
 	vKey, vState, evicted := cache.InstallFill(key, st)
 	if evicted {
-		s.handleVictimGlobal(cache, vKey, vState, now)
+		s.handleVictim(cache, vKey, vState, now)
 	}
 	if len(s.obs) > 0 {
 		s.emit(observe.Event{Kind: observe.Fill, At: now, L2: cache.ID(), Key: key, Txn: kind, State: st, Out: out})
@@ -240,29 +238,27 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 }
 
 // fillDataReady books the data ring for the arrived source line and
-// schedules delivery (hFillReady). Delivery is a shard-local event —
+// schedules delivery (hCompleteFill). Delivery is a front-end event —
 // waking waiters touches only the requesting L2's front end — so it is
-// scheduled onto the requester's shard wheel.
+// scheduled onto the requester's lane.
 func (s *System) fillDataReady(d sim.EventData) {
 	cache := d.Ptr.(l2Handle)
 	if len(s.obs) > 0 {
 		s.emit(observe.Event{Kind: observe.DemandSourceReady, At: s.engine.Now(), L2: cache.ID(), Key: d.Key})
 	}
 	dStart := s.ring.ReserveData(s.engine.Now())
-	s.shards[cache.ID()].engine.AtCall(dStart+s.cfg.DataRingOccupancy, s.hCompleteFill, d)
+	s.shards[cache.ID()].lane.AtCall(dStart+s.cfg.DataRingOccupancy, s.hCompleteFill, d)
 }
 
-// handleVictimGlobal routes an evicted line through the Section 2
-// write-back policy from global context (fill installs and snarf
-// displacements, which commit at bus events): the observers see the
-// victim directly and a queued entry pumps the write-back machinery in
-// place.
-// Shard-context evictions go through (*shard).handleVictim instead.
-func (s *System) handleVictimGlobal(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
-	// Active (mutating) advances the retry-switch window; it runs only
-	// for switch-gated policies so ungated runs never touch the switch
-	// outside round boundaries (short-circuit order is load-bearing).
-	switchActive := s.policy.GatedBySwitch() && s.rswitch.Active(now)
+// handleVictim routes a line evicted from cache at cycle now through
+// the Section 2 write-back policy: the victim is classified, the
+// observers see it, and a queued entry is scored for the reuse tracker
+// and pumps the write-back machinery. Evictions come from fill installs
+// (bus lane) and from write-back-buffer reinstalls (front-end lanes).
+func (s *System) handleVictim(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
+	// The run loop has already rolled the retry switch to now; it is
+	// read only for switch-gated policies.
+	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
 	action := cache.ProcessVictim(vKey, vState, switchActive, inL3)
 	if len(s.obs) > 0 {

@@ -16,7 +16,7 @@ import (
 )
 
 // parallelTrace synthesizes a deterministic tp-profile workload sized
-// for the matrix: enough cross-shard sharing and write backs to
+// for the matrix: enough cross-L2 sharing and write backs to
 // exercise every bus path, small enough to run dozens of times.
 func parallelTrace(t *testing.T, threads, refs int) *trace.Trace {
 	t.Helper()
@@ -37,8 +37,7 @@ func parallelTrace(t *testing.T, threads, refs int) *trace.Trace {
 // byte the run produced: the marshalled Results (which carry the probe
 // series and latency report), the same Results without those two, the
 // probe's event trace, and the auditor's verdict. The "recorder" cell
-// is "all" plus a test-only recorder observer. prep, when non-nil, runs
-// on the built system before it runs.
+// is "all" plus a test-only recorder observer.
 type matrixOut struct {
 	results  []byte
 	core     []byte // results without Metrics and Latency
@@ -55,11 +54,10 @@ type recorder struct {
 	kinds [observe.NumKinds]uint64
 }
 
-func (r *recorder) Observe(e observe.Event)     { r.kinds[e.Kind]++ }
-func (r *recorder) Tick(config.Cycles)          {}
-func (r *recorder) NextBoundary() config.Cycles { return observe.NoBoundary }
+func (r *recorder) Observe(e observe.Event) { r.kinds[e.Kind]++ }
+func (r *recorder) Tick(config.Cycles)      {}
 
-func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, attach string, prep func(*System)) matrixOut {
+func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, attach string) matrixOut {
 	t.Helper()
 	var (
 		obs  []observe.Observer
@@ -90,9 +88,6 @@ func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, attach string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep != nil {
-		prep(s)
-	}
 	res := s.Run()
 	if tw != nil {
 		if err := tw.Close(); err != nil {
@@ -122,8 +117,7 @@ func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, attach string, 
 
 // TestParallelBitIdentical is the determinism matrix: for every
 // scenario × attachment combination the reference run must pass the
-// differential audit, and a run configured through the deprecated
-// SetWorkers shim at -1, 0, 1 and 4 must reproduce it bit for bit —
+// differential audit, and a second run must reproduce it bit for bit —
 // marshalled Results (including Metrics and Latency), the
 // per-transaction event trace, and the auditor's verdict and sweep
 // count. The recorder cell adds an observer the system has no hook
@@ -132,7 +126,7 @@ func matrixRun(t *testing.T, cfg config.Config, tr *trace.Trace, attach string, 
 // and across the matrix it must receive every event kind.
 func TestParallelBitIdentical(t *testing.T) {
 	big := config.Default()
-	big.Cores = 32 // NumL2 = 16 shards
+	big.Cores = 32 // NumL2 = 16
 	// A small hierarchy under write-back pressure: evictions, retries,
 	// squashes, snarfs and cancellations all occur, so the recorder
 	// sees every event kind.
@@ -153,7 +147,7 @@ func TestParallelBitIdentical(t *testing.T) {
 		{"default-wbht", config.Default().WithMechanism(config.WBHT), parallelTrace(t, 16, 400), []string{"none", "all"}},
 		{"default-snarf", config.Default().WithMechanism(config.Snarf), parallelTrace(t, 16, 400), []string{"none", "all"}},
 		{"default-combined", config.Default().WithMechanism(config.Combined), parallelTrace(t, 16, 400), all},
-		// Big chip: 16 shards.
+		// Big chip: 16 L2s.
 		{"big-combined", big.WithMechanism(config.Combined), parallelTrace(t, 64, 120), all},
 		{"small-combined", small, parallelTrace(t, 16, 400), []string{"none", "all", "recorder"}},
 	}
@@ -164,7 +158,7 @@ func TestParallelBitIdentical(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			refs := map[string]matrixOut{}
 			for _, attach := range sc.attachs {
-				ref := matrixRun(t, sc.cfg, sc.tr, attach, nil)
+				ref := matrixRun(t, sc.cfg, sc.tr, attach)
 				refs[attach] = ref
 				if attach == "auditor" || attach == "all" {
 					if !ref.auditOK {
@@ -174,20 +168,18 @@ func TestParallelBitIdentical(t *testing.T) {
 						t.Fatalf("%s: reference run swept 0 times; matrix would not exercise the auditor", attach)
 					}
 				}
-				for _, w := range []int{-1, 0, 1, 4} {
-					got := matrixRun(t, sc.cfg, sc.tr, attach, func(s *System) { s.SetWorkers(w) })
-					if !bytes.Equal(got.results, ref.results) {
-						t.Errorf("%s SetWorkers(%d): Results diverged from reference at %s",
-							attach, w, firstDiff(ref.results, got.results))
-					}
-					if !bytes.Equal(got.trace, ref.trace) {
-						t.Errorf("%s SetWorkers(%d): event trace diverged from reference at %s",
-							attach, w, firstDiff(ref.trace, got.trace))
-					}
-					if got.auditOK != ref.auditOK || got.auditSum != ref.auditSum || got.sweeps != ref.sweeps {
-						t.Errorf("%s SetWorkers(%d): audit verdict diverged: ok=%v/%v sweeps=%d/%d\nreference: %s\ngot:       %s",
-							attach, w, ref.auditOK, got.auditOK, ref.sweeps, got.sweeps, ref.auditSum, got.auditSum)
-					}
+				got := matrixRun(t, sc.cfg, sc.tr, attach)
+				if !bytes.Equal(got.results, ref.results) {
+					t.Errorf("%s: rerun Results diverged from reference at %s",
+						attach, firstDiff(ref.results, got.results))
+				}
+				if !bytes.Equal(got.trace, ref.trace) {
+					t.Errorf("%s: rerun event trace diverged from reference at %s",
+						attach, firstDiff(ref.trace, got.trace))
+				}
+				if got.auditOK != ref.auditOK || got.auditSum != ref.auditSum || got.sweeps != ref.sweeps {
+					t.Errorf("%s: rerun audit verdict diverged: ok=%v/%v sweeps=%d/%d\nreference: %s\ngot:       %s",
+						attach, ref.auditOK, got.auditOK, ref.sweeps, got.sweeps, ref.auditSum, got.auditSum)
 				}
 			}
 			rec, ok := refs["recorder"]

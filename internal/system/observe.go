@@ -9,7 +9,7 @@ import (
 // attach installs obs as this run's observers and binds the ones that
 // read the chip: a metrics probe gets the counter sampler, an auditor
 // its read-only view. Every observer then receives the same events
-// (emit, and the barrier's replay of shard logs) and window ticks.
+// (emit) and window ticks.
 func (s *System) attach(obs []observe.Observer) {
 	s.obs = obs
 	for _, o := range obs {

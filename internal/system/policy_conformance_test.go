@@ -20,15 +20,14 @@ var conformanceMechanisms = []config.Mechanism{
 
 // TestPolicyConformanceBitIdentity holds every registered policy to the
 // differential auditor on the shared conformance trace: a policy whose
-// agent state leaks across shard boundaries, or whose chip hooks run
-// outside the serial phase, fails the audit here.
+// hooks corrupt coherence state or leak resources fails the audit here.
 func TestPolicyConformanceBitIdentity(t *testing.T) {
 	tr := parallelTrace(t, 16, 400)
 	for _, m := range conformanceMechanisms {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			cfg := config.Default().WithMechanism(m)
-			if ref := matrixRun(t, cfg, tr, "auditor", nil); !ref.auditOK {
+			if ref := matrixRun(t, cfg, tr, "auditor"); !ref.auditOK {
 				t.Fatalf("run failed audit:\n%s", ref.auditSum)
 			}
 		})

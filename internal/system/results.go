@@ -149,13 +149,10 @@ type Results struct {
 	// tracked in BENCH_core.json.
 	EventsFired uint64
 
-	// Sharding describes the round coordinator's execution shape: how
-	// many rounds the run took, how many had a shard phase, and which
-	// constraint set the horizon each time. Attachments that schedule
-	// their own wake-ups (the metrics probe, windowed latency) add
-	// rounds, so the record is engine telemetry, not simulated outcome:
-	// it stays out of the JSON (result bytes keep the observation-only
-	// contract) and is read in process by the benchmarks.
+	// Sharding is always zero.
+	//
+	// Deprecated: the round coordinator it described is gone; the field
+	// stays only for the perfbench/ module, its one reader.
 	Sharding ShardingStats `json:"-"`
 
 	// Metrics is the per-interval time series collected when a metrics
@@ -172,10 +169,6 @@ type Results struct {
 // results gathers all component statistics after a run.
 func (s *System) results() *Results {
 	elapsed := s.finishTime()
-	var fillLatency stats.Histogram
-	for _, sh := range s.shards {
-		fillLatency.Merge(&sh.fillLatency)
-	}
 	r := &Results{
 		Config:        s.cfg,
 		Cycles:        uint64(elapsed),
@@ -221,7 +214,7 @@ func (s *System) results() *Results {
 		SwitchTotalWindows:  s.rswitch.TotalWindows(),
 
 		Reuse:       s.reuse.snapshot(),
-		FillLatency: fillLatency,
+		FillLatency: s.fillLatency,
 
 		UpgradeRestarts: s.upgradeRestarts,
 		SnarfFallbacks:  s.snarfFallbacks,
@@ -232,9 +225,8 @@ func (s *System) results() *Results {
 
 		ResidualL3QueueTokens: s.l3.QueueInUse(),
 
-		EventsFired: s.eventsFired(),
+		EventsFired: s.engine.Fired(),
 	}
-	r.Sharding = s.pstats
 	for i, c := range s.l2s {
 		r.ResidualMSHRs += c.MSHRCount()
 		r.ResidualWBQueued += c.WBQueueLen()
@@ -249,7 +241,7 @@ func (s *System) results() *Results {
 		case *txlat.Collector:
 			r.Latency = o.Finish(elapsed)
 		case *audit.Auditor:
-			o.Drain(s.lastTime())
+			o.Drain(s.engine.Now())
 		}
 	}
 	r.CleanWBFirstTime, r.CleanWBLostL3 = s.cleanWBFirst, s.cleanWBLost
@@ -391,3 +383,18 @@ func (r *Results) Summary() string {
 	p("access latency       mean %.1f cycles, max %d", r.FillLatency.Mean(), r.FillLatency.Max())
 	return b.String()
 }
+
+// ShardingStats is the type of the always-zero Results.Sharding.
+//
+// Deprecated: the round coordinator it described is gone; the type
+// stays only for the perfbench/ module, its one reader.
+type ShardingStats struct {
+	Rounds            uint64
+	ParallelRounds    uint64
+	HorizonNextGlobal uint64
+}
+
+// BarrierWaitTotalNs always returns 0.
+//
+// Deprecated: kept only for the perfbench/ module, its one caller.
+func (p *ShardingStats) BarrierWaitTotalNs() int64 { return 0 }

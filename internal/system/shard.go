@@ -6,87 +6,40 @@ import (
 	"cmpcache/internal/cpu"
 	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
-	"cmpcache/internal/stats"
 	"cmpcache/internal/trace"
 )
 
-// shard is one independently runnable slice of the simulated chip: one
-// L2 cache, the hardware threads that feed it, and a private event
-// wheel. Everything a shard touches between bus-combine points is owned
-// by the shard alone — its L2's front end (probe, MSHRs, write-back
-// queue), its threads, its access pool and its fill-latency histogram.
-//
-// Anything global (the rings, the L3, memory, system counters, the
-// observers and the shared reuse tracker) is reached only through two
-// deterministic channels drained at the round barrier:
-//
-//   - log: an append-only log of observer events (plus the queued
-//     victims the reuse tracker scores), replayed in canonical
-//     (time, shard) order;
-//   - posts: bus requests (demand starts and write-back pumps), which
-//     arbitrate for the address ring in canonical (time, shard) order.
-//
-// Because every shard-side record carries its own timestamp and the
-// merge orders are fixed, the drained effect is a pure function of the
-// simulated workload (DESIGN.md §15).
+// shard is the front end of one L2 slice: the L2 cache, the hardware
+// threads that feed it, and its access pool. Its events (thread issue,
+// tag probes, structural-stall retries, fill delivery) run on the
+// system engine's lane idx, so at equal cycles they fire in L2 order and
+// before the bus lane's combines (DESIGN.md §15). Bus requests and
+// observer events go straight to the System.
 type shard struct {
-	sys    *System
-	idx    int
-	cache  l2Handle
-	engine *sim.Engine
+	sys   *System
+	idx   int
+	cache l2Handle
+	lane  sim.Lane
 
 	threads    *cpu.Complex
 	accessPool *sim.Pool[pendingAccess]
 
-	// fillLatency is this shard's slice of the issue-to-completion
-	// distribution; Results merges the per-shard histograms (merge order
-	// cannot matter — histograms are additive).
-	fillLatency stats.Histogram
-
 	hResolve sim.Handler
-
-	// log is appended in shard execution order, so it is nondecreasing
-	// in At; the barrier merges logs by (At, shard index, append order).
-	log   []observe.Event
-	posts []busPost
-
-	// logNext / postNext are the merge cursors used by the barrier.
-	logNext  int
-	postNext int
-}
-
-// postKind discriminates deferred bus requests.
-type postKind int8
-
-const (
-	postDemand postKind = iota
-	postPump
-)
-
-// busPost is one deferred address-ring request from shard context. The
-// issuing L2 is the shard's own cache, so the record carries only the
-// request itself; the barrier executes posts in (when, shard index,
-// append order) — the canonical bus arbitration order.
-type busPost struct {
-	kind postKind
-	when config.Cycles
-	key  uint64
-	txn  coherence.TxnKind
 }
 
 // newShard wires shard idx over its threads' chunked streams (nil
-// entries are idle threads) and pre-sizes its event wheel and access
-// pool from the shard's trace record count. Construction fails if any
-// stream's first chunk cannot be decoded.
+// entries are idle threads) and primes its access pool from the shard's
+// trace record count. Construction fails if any stream's first chunk
+// cannot be decoded.
 func newShard(s *System, idx int, streams []trace.Stream, traceRecs int) (*shard, error) {
-	sh := &shard{sys: s, idx: idx, cache: s.l2s[idx], engine: sim.NewEngine()}
+	sh := &shard{sys: s, idx: idx, cache: s.l2s[idx], lane: s.engine.Lane(idx)}
 	sh.accessPool = sim.NewPool(func() *pendingAccess {
 		p := &pendingAccess{}
 		p.completeFn = func(at config.Cycles) { sh.finishAccess(p, at) }
 		return p
 	})
 	sh.hResolve = func(d sim.EventData) { sh.resolve(d.Ptr.(*pendingAccess)) }
-	threads, err := cpu.NewStreams(sh.engine, &s.cfg, streams,
+	threads, err := cpu.NewStreams(sh.lane, &s.cfg, streams,
 		func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
 			sh.access(op, key, done)
 		})
@@ -95,13 +48,7 @@ func newShard(s *System, idx int, streams []trace.Stream, traceRecs int) (*shard
 	}
 	sh.threads = threads
 
-	perShard := s.cfg.ThreadsPerL2() * s.cfg.MaxOutstanding
-	events := perShard*8 + 64
-	if limit := 2*traceRecs + 64; events > limit {
-		events = limit
-	}
-	sh.engine.Grow(events)
-	inflight := perShard
+	inflight := s.cfg.ThreadsPerL2() * s.cfg.MaxOutstanding
 	if inflight > traceRecs {
 		inflight = traceRecs
 	}
@@ -109,27 +56,13 @@ func newShard(s *System, idx int, streams []trace.Stream, traceRecs int) (*shard
 	return sh, nil
 }
 
-// logEvent defers e, stamped with this shard's L2, to the round
-// barrier. Callers log only when observers are attached, except for
-// the queued victims the reuse tracker scores.
-func (sh *shard) logEvent(e observe.Event) {
+// emit hands e, stamped with this shard's L2, to the observers.
+func (sh *shard) emit(e observe.Event) {
 	e.L2 = sh.idx
-	sh.log = append(sh.log, e)
+	sh.sys.emit(e)
 }
 
-// postDemandTxn defers a demand transaction's address-ring arbitration
-// to the round barrier. when is the shard-context cycle the request
-// would have arbitrated; the barrier preserves it.
-func (sh *shard) postDemandTxn(when config.Cycles, key uint64, kind coherence.TxnKind) {
-	sh.posts = append(sh.posts, busPost{kind: postDemand, when: when, key: key, txn: kind})
-}
-
-// postPumpWB defers a write-back pump wake to the round barrier.
-func (sh *shard) postPumpWB(when config.Cycles) {
-	sh.posts = append(sh.posts, busPost{kind: postPump, when: when})
-}
-
-// --- the L2 front end (shard context) ---
+// --- the L2 front end ---
 
 // access is the shard's cpu issue path: one thread reference enters the
 // hierarchy. The request crosses the core interface unit, reserves an
@@ -137,9 +70,8 @@ func (sh *shard) postPumpWB(when config.Cycles) {
 // the Table 3 L2 latency, everything else becomes a bus transaction.
 func (sh *shard) access(op trace.Op, key uint64, done func(config.Cycles)) {
 	p := sh.accessPool.Get()
-	p.sh = sh
 	p.key = key
-	p.issued = sh.engine.Now()
+	p.issued = sh.lane.Now()
 	p.done = done
 	p.isStore = op == trace.Store
 	p.count = true
@@ -147,21 +79,19 @@ func (sh *shard) access(op trace.Op, key uint64, done func(config.Cycles)) {
 	// (issue + CoreToL2); booking it from the issue event keeps
 	// reservations time-ordered while avoiding an intermediate event.
 	cfg := &sh.sys.cfg
-	start := sh.cache.ReservePort(key, sh.engine.Now()+cfg.CoreToL2)
-	sh.engine.AtCall(start+cfg.L2Access, sh.hResolve, sim.EventData{Ptr: p})
+	start := sh.cache.ReservePort(key, sh.lane.Now()+cfg.CoreToL2)
+	sh.lane.AtCall(start+cfg.L2Access, sh.hResolve, sim.EventData{Ptr: p})
 }
 
 // finishAccess completes a pending access: the issue-to-completion
 // latency is recorded, the node returns to the pool and the thread's
 // completion callback runs (which may synchronously issue new work that
-// reuses the node). Called from shard context at delivery time, and
-// from the serial phase when a bus commit wakes coalesced waiters — the
-// coordinator keeps the shard clock in step for exactly that case.
+// reuses the node). Called at delivery time from this shard's lane, or
+// from a bus commit that wakes coalesced waiters.
 func (sh *shard) finishAccess(p *pendingAccess, at config.Cycles) {
-	sh.fillLatency.Observe(uint64(at - p.issued))
+	sh.sys.fillLatency.Observe(uint64(at - p.issued))
 	done := p.done
 	p.done = nil
-	p.sh = nil
 	sh.accessPool.Put(p)
 	done(at)
 }
@@ -170,12 +100,12 @@ func (sh *shard) finishAccess(p *pendingAccess, at config.Cycles) {
 // on re-attempts after a structural stall so statistics stay truthful.
 func (sh *shard) resolve(p *pendingAccess) {
 	s := sh.sys
-	now := sh.engine.Now()
+	now := sh.lane.Now()
 	cache, key, isStore := sh.cache, p.key, p.isStore
 	switch cache.Probe(key, isStore, p.count) {
 	case probeHit:
 		if isStore && len(s.obs) > 0 {
-			sh.logEvent(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
+			sh.emit(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
 		}
 		sh.finishAccess(p, now)
 
@@ -186,7 +116,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 		// effect invisible to the hooks.
 		cache.SetState(key, coherence.Modified)
 		if len(s.obs) > 0 {
-			sh.logEvent(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
+			sh.emit(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
 		}
 		sh.finishAccess(p, now)
 
@@ -204,11 +134,11 @@ func (sh *shard) resolve(p *pendingAccess) {
 		if len(s.obs) > 0 {
 			// A queued entry closes here; an in-flight one closes at its
 			// bus combine (the cancelled disposition).
-			sh.logEvent(observe.Event{Kind: observe.WBReinstall, At: now, Key: key, WB: e})
+			sh.emit(observe.Event{Kind: observe.WBReinstall, At: now, Key: key, WB: e})
 		}
 		vKey, vState, evicted := cache.Reinstall(e)
 		if evicted {
-			sh.handleVictim(vKey, vState, now)
+			s.handleVictim(cache, vKey, vState, now)
 		}
 		if isStore && e.State != coherence.Modified {
 			// Stores to a reinstalled clean/shared line still need
@@ -227,9 +157,9 @@ func (sh *shard) resolve(p *pendingAccess) {
 		cache.AllocMSHR(key, coherence.Upgrade)
 		cache.AttachMSHR(key, true, p.completeFn)
 		if len(s.obs) > 0 {
-			sh.logEvent(observe.Event{Kind: observe.DemandIssued, At: now, Key: key, Issued: p.issued})
+			sh.emit(observe.Event{Kind: observe.DemandIssued, At: now, Key: key, Issued: p.issued})
 		}
-		sh.postDemandTxn(now, key, coherence.Upgrade)
+		s.startDemand(cache, key, coherence.Upgrade, now)
 
 	case probeMiss:
 		if cache.AttachMSHR(key, isStore, p.completeFn) {
@@ -241,7 +171,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 			// ("misses to the L2 cache will be blocked and will have to
 			// wait for an open slot").
 			p.count = false
-			sh.engine.ScheduleCall(s.cfg.RetryBackoff, sh.hResolve, sim.EventData{Ptr: p})
+			sh.lane.ScheduleCall(s.cfg.RetryBackoff, sh.hResolve, sim.EventData{Ptr: p})
 			return
 		}
 		kind := coherence.Read
@@ -252,9 +182,9 @@ func (sh *shard) resolve(p *pendingAccess) {
 		cache.AllocMSHR(key, kind)
 		cache.AttachMSHR(key, isStore, p.completeFn)
 		if len(s.obs) > 0 {
-			sh.logEvent(observe.Event{Kind: observe.DemandIssued, At: now, Key: key, Issued: p.issued})
+			sh.emit(observe.Event{Kind: observe.DemandIssued, At: now, Key: key, Issued: p.issued})
 		}
-		sh.postDemandTxn(now, key, kind)
+		s.startDemand(cache, key, kind, now)
 	}
 }
 
@@ -267,9 +197,9 @@ func (sh *shard) resolve(p *pendingAccess) {
 // storers invalidate each other's in-flight fills forever.
 func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 	cache, obs := sh.cache, len(sh.sys.obs) > 0
-	at := sh.engine.Now()
+	at := sh.lane.Now()
 	if obs {
-		sh.logEvent(observe.Event{Kind: observe.DemandComplete, At: at, Key: key})
+		sh.emit(observe.Event{Kind: observe.DemandComplete, At: at, Key: key})
 	}
 	loads, stores := cache.TakeWaiters(key)
 	for _, w := range loads {
@@ -294,7 +224,7 @@ func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 	case coherence.Exclusive:
 		cache.SetState(key, coherence.Modified)
 		if obs {
-			sh.logEvent(observe.Event{Kind: observe.StoreHit, At: at, Key: key})
+			sh.emit(observe.Event{Kind: observe.StoreHit, At: at, Key: key})
 		}
 		for _, w := range stores {
 			w(at)
@@ -307,56 +237,12 @@ func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 		for _, w := range stores {
 			cache.AttachMSHR(key, true, w)
 		}
-		sh.postDemandTxn(at, key, coherence.RWITM)
+		sh.sys.startDemand(cache, key, coherence.RWITM, at)
 	default: // S, SL, T: claim ownership on the bus
 		cache.AllocMSHR(key, coherence.Upgrade)
 		for _, w := range stores {
 			cache.AttachMSHR(key, true, w)
 		}
-		sh.postDemandTxn(at, key, coherence.Upgrade)
-	}
-}
-
-// handleVictim is the shard-context half of the Section 2 write-back
-// policy: the victim is classified against the shard's own L2 (and the
-// frozen retry-switch and L3-membership oracles, both read-only between
-// rounds), the victim is logged for barrier replay, and a queued entry
-// posts a pump wake. The global-context half lives in
-// demand.go (handleVictimGlobal).
-func (sh *shard) handleVictim(vKey uint64, vState coherence.State, now config.Cycles) {
-	s := sh.sys
-	// ActiveNow (not Active): the coordinator advanced the switch's
-	// window at the round boundary; shard context must not mutate it.
-	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
-	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
-	action := sh.cache.ProcessVictim(vKey, vState, switchActive, inL3)
-	if action == l2VictimQueued || len(s.obs) > 0 {
-		sh.logEvent(observe.Event{Kind: observe.Victim, At: now, Key: vKey, State: vState,
-			Action: action, InL3: inL3, SwitchOn: s.rswitch.ActiveNow()})
-	}
-	if action == l2VictimQueued {
-		sh.postPumpWB(now)
-	}
-}
-
-// replay hands one logged event to the observers at the round
-// barrier, in canonical order; a queued victim also scores its write
-// back attempt for the reuse tracker.
-func (s *System) replay(e *observe.Event) {
-	s.emit(*e)
-	if e.Kind == observe.Victim && e.Action == l2VictimQueued {
-		s.reuse.recordAttempt(e.Key)
-	}
-}
-
-// executePost performs one deferred bus request at the round barrier,
-// in canonical order. rec.when is the shard-context cycle the request
-// was raised; address-ring arbitration sees exactly that time.
-func (s *System) executePost(sh *shard, rec *busPost) {
-	switch rec.kind {
-	case postDemand:
-		s.startDemand(sh.cache, rec.key, rec.txn, rec.when)
-	case postPump:
-		s.pumpWB(sh.idx, rec.when)
+		sh.sys.startDemand(cache, key, coherence.Upgrade, at)
 	}
 }

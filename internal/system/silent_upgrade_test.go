@@ -65,7 +65,7 @@ func TestSilentStoreUpgradeNoBusTraffic(t *testing.T) {
 
 // TestSilentStoreUpgradeShardEquivalence pins the second property of
 // the Probe purity fix: the upgrade commit moved from inside Probe to
-// the shard's resolve dispatch, which runs on a shard's event wheel —
+// the shard's resolve dispatch, which runs on its L2's front-end lane —
 // so a store-heavy private-line workload (all hits after first touch,
 // maximal silent-upgrade density) must pass the differential audit.
 func TestSilentStoreUpgradeShardEquivalence(t *testing.T) {
@@ -83,7 +83,7 @@ func TestSilentStoreUpgradeShardEquivalence(t *testing.T) {
 		recs = append(recs, trace.Record{Thread: th, Op: op, Addr: ln * 128, Gap: uint32(i % 3)})
 	}
 	tr := mkTrace(recs...)
-	if ref := matrixRun(t, cfg, tr, "auditor", nil); !ref.auditOK {
+	if ref := matrixRun(t, cfg, tr, "auditor"); !ref.auditOK {
 		t.Fatalf("audit violations:\n%s", ref.auditSum)
 	}
 }

@@ -13,12 +13,13 @@
 // the cycle cost of in-flight windows is preserved, only their
 // observability is collapsed.
 //
-// Execution is sharded by L2 slice: each slice's front end (threads,
-// tag probes, MSHRs, write-back queue) runs on its own event wheel,
-// and the bus FIFO — the chip's only global ordering point — lives on a
-// global wheel that a deterministic round coordinator interleaves with
-// the shards (see parallel.go and DESIGN.md §15). Every phase runs
-// inline on the caller's goroutine.
+// Every event runs on one engine, inline on the caller's goroutine. The
+// engine orders events by (cycle, lane, scheduling order): lane i holds
+// L2 slice i's front end (threads, tag probes, structural-stall retries,
+// fill delivery) and the last lane holds the bus — combined responses
+// and everything behind them (ring, L3, memory). So at equal cycles the
+// front ends run in L2 order, before the bus serializes the cycle's
+// transactions (DESIGN.md §15).
 //
 // NewStream is the only constructor (New wraps an in-memory trace as a
 // source). Observers (internal/observe) attach there and receive every
@@ -39,6 +40,7 @@ import (
 	"cmpcache/internal/observe"
 	"cmpcache/internal/ring"
 	"cmpcache/internal/sim"
+	"cmpcache/internal/stats"
 	"cmpcache/internal/trace"
 	"cmpcache/internal/wbpolicy"
 )
@@ -46,7 +48,7 @@ import (
 // System is one fully wired simulated chip.
 type System struct {
 	cfg    config.Config
-	engine *sim.Engine // global wheel: bus combines and everything behind them
+	engine *sim.Engine // the bus lane is the engine's own; shards[i] uses lane i
 
 	shards []*shard // one per L2 slice; shards[i] owns l2s[i]
 
@@ -59,12 +61,11 @@ type System struct {
 
 	// policy is the configured write-back policy's chip-wide half; its
 	// per-L2 agents live inside the l2.Caches. All chip hooks run at
-	// bus combine events (serial phase).
+	// bus combine events.
 	policy wbpolicy.Chip
 
-	// pstats accumulates the round coordinator's execution-shape
-	// counters; copied into Results.Sharding at the end of the run.
-	pstats ShardingStats
+	// fillLatency is the issue-to-completion latency distribution.
+	fillLatency stats.Histogram
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
 
@@ -93,10 +94,8 @@ type System struct {
 	cleanWBLost  uint64
 
 	// obs are the attached observers (nil in normal runs — hook sites
-	// pay one length check each). obsFired counts the shard events
-	// already credited to their event-count cadence.
-	obs      []observe.Observer
-	obsFired uint64
+	// pay one length check each).
+	obs []observe.Observer
 
 	// System-level counters (component-level ones live in the
 	// components).
@@ -210,11 +209,11 @@ func NewStream(cfg config.Config, src trace.Source, obs ...observe.Observer) (*S
 		s.shards = append(s.shards, sh)
 	}
 
-	// Pre-size the global event queue from the workload: its high-water
-	// mark tracks in-flight bus transactions, bounded by what the trace
-	// can ever put in flight at once.
-	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
-	if limit := 2*clamp(src.Records()) + 64; events > limit {
+	// Pre-size the event queue from the workload: its high-water mark
+	// tracks in-flight accesses and bus transactions, bounded by what
+	// the trace can ever put in flight at once.
+	events := cfg.Threads()*cfg.MaxOutstanding*12 + 64
+	if limit := 4*clamp(src.Records()) + 64; events > limit {
 		events = limit
 	}
 	s.engine.Grow(events)
@@ -226,37 +225,73 @@ func NewStream(cfg config.Config, src trace.Source, obs ...observe.Observer) (*S
 func (s *System) Config() *config.Config { return &s.cfg }
 
 // Run executes the workload to completion and returns the results. It
-// panics if every event wheel drains while threads still have work,
-// which would indicate a lost completion (a simulator bug, not a
-// workload property).
+// panics if the engine drains while threads still have work, which
+// would indicate a lost completion (a simulator bug, not a workload
+// property).
 func (s *System) Run() *Results {
-	if err := s.runRounds(context.Background()); err != nil {
+	if err := s.run(context.Background()); err != nil {
 		panic(err) // unreachable: the background context never cancels
 	}
 	return s.finish()
 }
 
-// cancelCheckEvery is how many coordinator rounds plus serial-phase
-// events RunContext lets pass between context polls (it also polls once
-// on entry). Polling happens outside the event stream — nothing is
-// scheduled, Fired does not move, the simulation is bit-identical to
-// Run — so the granularity only bounds cancellation latency, while
-// keeping the poll's lock off the per-round path.
+// cancelCheckEvery is how many events RunContext lets pass between
+// context polls (it also polls once on entry). Polling happens outside
+// the event stream — nothing is scheduled, Fired does not move, the
+// simulation is bit-identical to Run — so the granularity only bounds
+// cancellation latency, while keeping the poll's lock off the
+// per-event path.
 const cancelCheckEvery = 8192
 
 // RunContext is Run with cooperative cancellation: it executes the
 // workload to completion unless ctx is cancelled first, in which case
 // it abandons the remaining events and returns ctx's error. A completed
-// run is bit-identical to Run() — the context poll observes the engines
-// between events and never perturbs them.
+// run is bit-identical to Run() — the context poll observes the engine
+// between events and never perturbs it.
 func (s *System) RunContext(ctx context.Context) (*Results, error) {
-	if err := s.runRounds(ctx); err != nil {
+	if err := s.run(ctx); err != nil {
 		return nil, err
 	}
 	return s.finish(), nil
 }
 
-// finish asserts the drained wheels left no thread mid-access and
+// run starts the threads and fires events until the engine drains or
+// ctx is cancelled. Before each event at cycle t, the observers close
+// every window ending at or before t — so a window's sample sees
+// exactly the state after all earlier events — and only then does the
+// retry switch roll its sampling window forward to t (a sample reads
+// the switch as the closed window left it).
+func (s *System) run(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, sh := range s.shards {
+		sh.threads.Start()
+	}
+	budget := 0
+	for {
+		t := s.engine.NextTime()
+		if t == sim.Forever {
+			return nil
+		}
+		for _, o := range s.obs {
+			o.Tick(t)
+		}
+		s.rswitch.AdvanceTo(t)
+		if len(s.obs) > 0 {
+			s.emit(observe.Event{Kind: observe.Fired, At: t, N: 1})
+		}
+		s.engine.Step()
+		if budget++; budget == cancelCheckEvery {
+			budget = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// finish asserts the drained engine left no thread mid-access and
 // gathers results (which also finishes the observers).
 func (s *System) finish() *Results {
 	if !s.threadsDone() {
@@ -265,17 +300,11 @@ func (s *System) finish() *Results {
 	return s.results()
 }
 
-// lastTime returns the latest clock across all wheels — the time the
-// simulation ended.
-func (s *System) lastTime() config.Cycles {
-	t := s.engine.Now()
-	for _, sh := range s.shards {
-		if n := sh.engine.Now(); n > t {
-			t = n
-		}
-	}
-	return t
-}
+// SetWorkers does nothing: every simulation runs inline on one engine.
+//
+// Deprecated: kept only for the perfbench/ module, its one caller; it
+// goes when that benchmark stops calling it.
+func (s *System) SetWorkers(int) {}
 
 // --- thread-complex aggregation across shards ---
 
@@ -320,12 +349,4 @@ func (s *System) finishTime() config.Cycles {
 		}
 	}
 	return t
-}
-
-func (s *System) eventsFired() uint64 {
-	n := s.engine.Fired()
-	for _, sh := range s.shards {
-		n += sh.engine.Fired()
-	}
-	return n
 }

@@ -30,8 +30,7 @@ const (
 // pumpWB issues the next write back from l2idx's queue onto the ring,
 // one bus transaction in flight per L2 (the queue drains head-first, as
 // a hardware castout machine would). now is the cycle the pump was
-// woken — the global clock in serial context, or the posting shard
-// event's cycle when the wake arrives through the round barrier.
+// woken: a victim's queueing or the previous write back's retirement.
 func (s *System) pumpWB(l2idx int, now config.Cycles) {
 	if s.wbInFlight[l2idx] {
 		return

@@ -260,17 +260,6 @@ func (c *Collector) Tick(now config.Cycles) {
 	}
 }
 
-// NextBoundary returns the end of the currently open window, or
-// observe.NoBoundary when windowing is disabled. The round coordinator
-// caps each round's horizon strictly below it so windows close only at
-// round boundaries, after every preceding event has fired.
-func (c *Collector) NextBoundary() config.Cycles {
-	if c.interval <= 0 {
-		return observe.NoBoundary
-	}
-	return c.nextClose
-}
-
 func (c *Collector) closeWindow(end config.Cycles) {
 	c.emitWindow(c.nextClose-c.interval, end)
 	c.nextClose += c.interval

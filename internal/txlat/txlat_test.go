@@ -243,9 +243,6 @@ func TestTopKReservoir(t *testing.T) {
 // of their completion cycle and the final partial window is emitted.
 func TestWindows(t *testing.T) {
 	c := New(Config{Interval: 100})
-	if b := c.NextBoundary(); b != 100 {
-		t.Fatalf("NextBoundary = %d, want the first window's end 100", b)
-	}
 	complete := func(key uint64, start, end config.Cycles) {
 		c.Tick(end)
 		c.demandStart(0, key, coherence.Read, false, start, start)

@@ -19,8 +19,8 @@ import (
 // holds but will evict before any reuse.
 //
 // Everything is per-L2 (agent-owned) and counted in that L2's own
-// misses, so training runs on the shard wheels with no shared state and
-// no switch gating; the chip half is entirely passive.
+// misses, so training needs no shared state and no switch gating; the
+// chip half is entirely passive.
 type reuseChip struct {
 	agents []*reuseAgent
 	stats  Stats

@@ -10,22 +10,20 @@
 // A policy splits into two halves:
 //
 //   - Agent: the per-L2 half. Its hooks run wherever that L2's events
-//     run — including a shard's event wheel during the shard phase —
-//     so an Agent may touch only its own state plus read-only
-//     configuration. One Agent instance serves exactly one L2.
+//     run — its front end's tag probes or a bus combine — and touch
+//     only its own state plus read-only configuration. One Agent
+//     instance serves exactly one L2.
 //
 //   - Chip: the chip-wide half. Its hooks run only at bus combine
-//     events, which fire in the coordinator's serial phase, so a Chip
-//     may hold global state (tables indexed by all L2s, sharing
-//     scores) without synchronization.
+//     events, so a Chip may hold global state (tables indexed by all
+//     L2s, sharing scores).
 //
 // Determinism obligations (DESIGN.md §16): hooks must not consult wall
-// clocks, map iteration order, or randomness; any state an Agent reads
-// must be owned by its L2 or mutated only in the serial phase; and a
-// detached policy (every hook a no-op) must not perturb the event
-// sequence. The conformance suite in internal/system enforces all three
-// for every registered policy (serial-vs-sharded bit-identity, auditor
-// soak, zero-alloc observation).
+// clocks, map iteration order, or randomness, and a detached policy
+// (every hook a no-op) must not perturb the event sequence. The
+// conformance suite in internal/system enforces both for every
+// registered policy (observer bit-identity, auditor soak, zero-alloc
+// observation).
 package wbpolicy
 
 import (
@@ -62,12 +60,12 @@ type Agent interface {
 	AcceptOffer(key uint64) bool
 
 	// ObserveLocalMiss: this L2 started a new demand bus transaction
-	// for key (shard context).
+	// for key (front-end context).
 	ObserveLocalMiss(key uint64)
 
 	// ObserveEviction: a valid line left this L2's tag array (any
-	// state, before the write-back decision runs; shard or serial
-	// context, always single-threaded per L2).
+	// state, before the write-back decision runs; front-end or bus
+	// context).
 	ObserveEviction(key uint64)
 
 	// WBHT exposes the agent's Write Back History Table for statistics
@@ -79,8 +77,8 @@ type Agent interface {
 	SnarfTable() *core.SnarfTable
 }
 
-// Chip is the chip-wide half of a write-back policy. All hooks run in
-// the serial phase only.
+// Chip is the chip-wide half of a write-back policy. All hooks run at
+// bus combine events only.
 type Chip interface {
 	// Agent returns the policy half owned by L2 idx.
 	Agent(idx int) Agent
