@@ -42,9 +42,6 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
 		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		verbose    = flag.Bool("v", false, "log each simulation run to stderr")
-		benchJSON  = flag.String("bench-json", "", "measure every artifact at benchmark scale and record ns/op, allocs/op and events/sec into this JSON file (see BENCH_core.json)")
-		benchLabel = flag.String("bench-label", "current", "run label for -bench-json/-bench-check (an existing run with the same label is replaced)")
-		benchCheck = flag.String("bench-check", "", "re-measure raw simulator throughput (metrics disabled) and fail if it regresses versus the labelled run in this JSON file (the CI gate)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 		overrides  = config.RegisterOverrides(flag.CommandLine)
@@ -78,20 +75,6 @@ func main() {
 				os.Exit(1)
 			}
 		}()
-	}
-	if *benchCheck != "" {
-		if err := runBenchCheck(*benchCheck, *benchLabel); err != nil {
-			fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchLabel); err != nil {
-			fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Overrides: overrides}

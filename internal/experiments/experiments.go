@@ -78,7 +78,7 @@ type Runner struct {
 	sim   *sweep.Simulator
 	cache map[sweep.Job]*system.Results
 	// simEvents accumulates engine events fired across fresh (uncached)
-	// simulation runs — the throughput denominator for BENCH_core.json.
+	// simulation runs; TestTable1Pinned holds Table 1's count exact.
 	simEvents uint64
 	// Progress, when non-nil, receives a line per fresh simulation run.
 	// It may be invoked from pool goroutines, but never concurrently.

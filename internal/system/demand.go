@@ -3,6 +3,7 @@ package system
 import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
 	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
 )
@@ -29,7 +30,7 @@ type pendingAccess struct {
 // schedules the transaction's combined-response event on the bus lane.
 // Requests raised in one cycle arbitrate in the order their events
 // fire: L2 front ends in L2 order, then bus-lane restarts.
-func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind, now config.Cycles) {
+func (s *System) startDemand(cache *l2.Cache, key uint64, kind coherence.TxnKind, now config.Cycles) {
 	s.demandTxns++
 	slot := s.ring.ReserveAddress(now)
 	combineAt := slot + s.cfg.AddressPhase
@@ -49,7 +50,7 @@ func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind,
 // Combine events fire on the bus lane, after every front-end event of
 // the same cycle — so the tag state a snoop observes is exactly the
 // state at the combine cycle.
-func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKind) {
+func (s *System) combineDemand(cache *l2.Cache, key uint64, kind coherence.TxnKind) {
 	now := s.engine.Now()
 	isLoad := kind == coherence.Read
 
@@ -130,7 +131,7 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 // data to them across the data ring — and Modified otherwise. If a
 // racing transaction invalidated our copy between issue and combine,
 // the claim restarts as a full RWITM either way.
-func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, update, sharers bool) {
+func (s *System) commitUpgrade(cache *l2.Cache, key uint64, now config.Cycles, update, sharers bool) {
 	if !cache.State(key).Valid() {
 		s.upgradeRestarts++
 		if len(s.obs) > 0 {
@@ -199,7 +200,7 @@ func fillState(kind coherence.TxnKind, out coherence.Outcome) coherence.State {
 
 // commitFill installs the miss response, processes the displaced victim
 // and schedules data arrival from the chosen source.
-func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, out coherence.Outcome, now config.Cycles) {
+func (s *System) commitFill(cache *l2.Cache, key uint64, kind coherence.TxnKind, out coherence.Outcome, now config.Cycles) {
 	st := fillState(kind, out)
 	vKey, vState, evicted := cache.InstallFill(key, st)
 	if evicted {
@@ -242,7 +243,7 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 // waking waiters touches only the requesting L2's front end — so it is
 // scheduled onto the requester's lane.
 func (s *System) fillDataReady(d sim.EventData) {
-	cache := d.Ptr.(l2Handle)
+	cache := d.Ptr.(*l2.Cache)
 	if len(s.obs) > 0 {
 		s.emit(observe.Event{Kind: observe.DemandSourceReady, At: s.engine.Now(), L2: cache.ID(), Key: d.Key})
 	}
@@ -255,7 +256,7 @@ func (s *System) fillDataReady(d sim.EventData) {
 // observers see it, and a queued entry is scored for the reuse tracker
 // and pumps the write-back machinery. Evictions come from fill installs
 // (bus lane) and from write-back-buffer reinstalls (front-end lanes).
-func (s *System) handleVictim(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
+func (s *System) handleVictim(cache *l2.Cache, vKey uint64, vState coherence.State, now config.Cycles) {
 	// The run loop has already rolled the retry switch to now; it is
 	// read only for switch-gated policies.
 	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
@@ -265,7 +266,7 @@ func (s *System) handleVictim(cache l2Handle, vKey uint64, vState coherence.Stat
 		s.emit(observe.Event{Kind: observe.Victim, At: now, L2: cache.ID(), Key: vKey, State: vState,
 			Action: action, InL3: inL3, SwitchOn: s.rswitch.ActiveNow()})
 	}
-	if action == l2VictimQueued {
+	if action == l2.VictimQueued {
 		s.reuse.recordAttempt(vKey)
 		s.pumpWB(cache.ID(), now)
 	}

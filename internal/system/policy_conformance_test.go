@@ -76,10 +76,11 @@ func TestPolicyConformanceAuditSoak(t *testing.T) {
 
 // TestPolicyHooksZeroAlloc pins the observation hooks of every
 // registered policy to zero steady-state allocations, the property the
-// cmpbench bench-check throughput gate depends on: hooks fire per bus
-// event, so a single allocation per call would dominate the allocs/op
-// budget. Tables are warmed first — cold-path allocation (building a
-// sketch row, inserting a score entry) is allowed.
+// allocs/op ceiling of the root package's TestThroughputPinned depends
+// on: hooks fire per bus event, so a single allocation per call would
+// dominate the allocs/op budget. Tables are warmed first — cold-path
+// allocation (building a sketch row, inserting a score entry) is
+// allowed.
 func TestPolicyHooksZeroAlloc(t *testing.T) {
 	// A peer-sourced read outcome: the shape that trains the hybridui
 	// sharing score, so its hot path is exercised too.

@@ -145,8 +145,8 @@ type Results struct {
 	ResidualL3QueueTokens int
 
 	// EventsFired counts discrete events executed by the engine during
-	// the run — the denominator for the events/sec throughput metric
-	// tracked in BENCH_core.json.
+	// the run. It is deterministic, so the pin tests hold it exact
+	// (TestThroughputPinned in the root package).
 	EventsFired uint64
 
 	// Sharding is always zero.

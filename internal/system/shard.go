@@ -4,6 +4,7 @@ import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/cpu"
+	"cmpcache/internal/l2"
 	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
 	"cmpcache/internal/trace"
@@ -18,7 +19,7 @@ import (
 type shard struct {
 	sys   *System
 	idx   int
-	cache l2Handle
+	cache *l2.Cache
 	lane  sim.Lane
 
 	threads    *cpu.Complex
@@ -103,13 +104,13 @@ func (sh *shard) resolve(p *pendingAccess) {
 	now := sh.lane.Now()
 	cache, key, isStore := sh.cache, p.key, p.isStore
 	switch cache.Probe(key, isStore, p.count) {
-	case probeHit:
+	case l2.ProbeHit:
 		if isStore && len(s.obs) > 0 {
 			sh.emit(observe.Event{Kind: observe.StoreHit, At: now, Key: key})
 		}
 		sh.finishAccess(p, now)
 
-	case probeHitStoreUpgrade:
+	case l2.ProbeHitStoreUpgrade:
 		// A store hit an Exclusive line: commit the silent E→M upgrade
 		// here — through SetState and the store-hit observation, exactly
 		// like the completeFill path — rather than as a Probe side
@@ -120,7 +121,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 		}
 		sh.finishAccess(p, now)
 
-	case probeWBBufferHit:
+	case l2.ProbeWBBufferHit:
 		// The line was caught in the write-back queue before leaving the
 		// chip: cancel the write back and put the line home.
 		e, ok := cache.CancelWB(key)
@@ -149,7 +150,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 		}
 		sh.finishAccess(p, now)
 
-	case probeHitNeedsUpgrade:
+	case l2.ProbeHitNeedsUpgrade:
 		if cache.AttachMSHR(key, true, p.completeFn) {
 			cache.CountMSHRAttach()
 			return // an upgrade or fill in flight will complete us
@@ -161,7 +162,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 		}
 		s.startDemand(cache, key, coherence.Upgrade, now)
 
-	case probeMiss:
+	case l2.ProbeMiss:
 		if cache.AttachMSHR(key, isStore, p.completeFn) {
 			cache.CountMSHRAttach()
 			return

@@ -139,14 +139,14 @@ func newCore(cfg config.Config) *System {
 	s.responses = make([]coherence.AgentResponse, 0, cfg.NumL2()+2)
 
 	s.hCombineDemand = func(d sim.EventData) {
-		s.combineDemand(d.Ptr.(l2Handle), d.Key, coherence.TxnKind(d.Kind))
+		s.combineDemand(d.Ptr.(*l2.Cache), d.Key, coherence.TxnKind(d.Kind))
 	}
 	s.hFillReady = s.fillDataReady
 	s.hCompleteFill = func(d sim.EventData) {
-		s.shards[d.Ptr.(l2Handle).ID()].completeFill(d.Key, coherence.TxnKind(d.Kind))
+		s.shards[d.Ptr.(*l2.Cache).ID()].completeFill(d.Key, coherence.TxnKind(d.Kind))
 	}
 	s.hCombineWB = func(d sim.EventData) {
-		s.combineWB(d.Ptr.(l2Handle), d.Key, coherence.TxnKind(d.Kind), d.Flag)
+		s.combineWB(d.Ptr.(*l2.Cache), d.Key, coherence.TxnKind(d.Kind), d.Flag)
 	}
 	s.hFinishWB = func(d sim.EventData) { s.finishWB(int(d.Key)) }
 	s.hWBArriveL3 = s.wbArriveL3

@@ -8,18 +8,6 @@ import (
 	"cmpcache/internal/sim"
 )
 
-// Local aliases keep the transaction-flow code readable.
-type l2Handle = *l2.Cache
-
-const (
-	probeHit             = l2.ProbeHit
-	probeHitStoreUpgrade = l2.ProbeHitStoreUpgrade
-	probeHitNeedsUpgrade = l2.ProbeHitNeedsUpgrade
-	probeWBBufferHit     = l2.ProbeWBBufferHit
-	probeMiss            = l2.ProbeMiss
-	l2VictimQueued       = l2.VictimQueued
-)
-
 // Bus agent identities for the Snoop Collector: L2 caches use their own
 // indices; the L3 and memory controllers take ids beyond any L2's.
 const (
@@ -54,7 +42,7 @@ func (s *System) pumpWB(l2idx int, now config.Cycles) {
 }
 
 // combineWB is the write back's atomic snoop-and-commit point.
-func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, snarfable bool) {
+func (s *System) combineWB(cache *l2.Cache, key uint64, kind coherence.TxnKind, snarfable bool) {
 	now := s.engine.Now()
 
 	// Every write back on the bus is observed by the policy chip (the
@@ -71,7 +59,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 		}
 	}
 	responses := append(s.responses[:0], coherence.AgentResponse{Agent: agentL3, Resp: l3resp})
-	var peerSquasher l2Handle
+	var peerSquasher *l2.Cache
 	if s.policy.SnoopsWBRing() {
 		for _, peer := range s.l2s {
 			if peer.ID() == cache.ID() {
@@ -183,7 +171,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 // retryWB counts a retried write back, requeues entry at the head of
 // its queue, and re-arbitrates after the configured backoff (hFinishWB
 // releases the L2's bus slot when the backoff expires).
-func (s *System) retryWB(cache l2Handle, entry l2.WBEntry, now config.Cycles) {
+func (s *System) retryWB(cache *l2.Cache, entry l2.WBEntry, now config.Cycles) {
 	s.wbRetried++
 	s.rswitch.RecordRetry(now)
 	if len(s.obs) > 0 {
@@ -201,7 +189,7 @@ func (s *System) retryWB(cache l2Handle, entry l2.WBEntry, now config.Cycles) {
 // requeued to re-arbitrate like any retried write back. The requeue is
 // load-bearing: dropping the entry here would silently lose a dirty
 // line.
-func (s *System) settleSnarf(cache l2Handle, entry l2.WBEntry, winner l2Handle, l3Accepted bool, now config.Cycles) {
+func (s *System) settleSnarf(cache *l2.Cache, entry l2.WBEntry, winner *l2.Cache, l3Accepted bool, now config.Cycles) {
 	displaced, dropped, accepted := winner.AcceptSnarf(entry)
 	switch {
 	case accepted:

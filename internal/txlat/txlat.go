@@ -31,8 +31,8 @@
 // constructor, and it is observation-only — hooks never schedule events
 // or touch simulation state, so attached and detached runs are
 // bit-identical in event sequence and results. A system without
-// observers pays one length check per hook site (the cmpbench
-// -bench-check gate enforces this stays free).
+// observers pays one length check per hook site (the allocs/op ceiling
+// of the root package's TestThroughputPinned keeps it free).
 package txlat
 
 import (
